@@ -14,7 +14,6 @@ from typing import Optional
 from .errors import FormatError, InternalError, ParameterError, PowerDomError
 from .graph import (
     Graph,
-    connected_components,
     erdos_renyi_connected,
     parse_edge_list,
     parse_graph6,
@@ -22,7 +21,6 @@ from .graph import (
     write_graph6,
 )
 from .library import BUILTIN_NAMES, builtin_graph
-from .reduction import contract, preferred_nodes, candidate_list
 from .search import SolverConfig, allminpds, default_workers, solve
 
 EXIT_OK = 0
@@ -150,15 +148,18 @@ def _cmd_allminpds(args) -> int:
     return EXIT_OK
 
 
-def _analyze_component(g: Graph) -> dict:
-    info: dict = {"nodes": sorted(g.nodes), "node_count": g.node_count}
-    if all(g.degree(v) <= 2 for v in g.nodes):
+def _analyze_component(nodes, pipeline, mode: str) -> dict:
+    """Format the pre-processing reports a solve kept for one component."""
+    info: dict = {"nodes": sorted(nodes), "node_count": len(nodes)}
+    if mode == "naive":
+        info["naive"] = "naive mode: no pre-processing ran; every node was a candidate"
+        return info
+    if pipeline is None:
         info["trivial"] = "path or cycle: any single node is a power dominating set"
         return info
-    report = contract(g)
+    report = pipeline.contraction
     cg = report.contracted
-    prep = preferred_nodes(cg)
-    cands = candidate_list(cg, prep.pref)
+    prep = pipeline.preferred
     info["contraction"] = {
         "removed": sorted(report.removed),
         "rules": dict(sorted(report.rules.items())),
@@ -179,18 +180,20 @@ def _analyze_component(g: Graph) -> dict:
             "pref_distance": c.pref_distance,
             "score": format(float(c.score), ".4f"),
         }
-        for c in cands
+        for c in pipeline.candidates
     ]
     return info
 
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
+    cfg = _config(args)
     start = time.perf_counter()
-    result = solve(g, _config(args))
+    result = solve(g, cfg)
     ms = (time.perf_counter() - start) * 1000
     components = [
-        _analyze_component(g.induced(comp)) for comp in connected_components(g)
+        _analyze_component(nodes, pipeline, cfg.mode)
+        for (nodes, _, _), pipeline in zip(result.per_component, result.pipeline)
     ]
     payload = _result_json(result, ms)
     payload["analysis"] = components
@@ -200,8 +203,9 @@ def _cmd_analyze(args) -> int:
     print(f"nodes: {g.node_count}  edges: {g.edge_count}  components: {len(components)}")
     for idx, comp in enumerate(components):
         print(f"component {idx}: {comp['node_count']} nodes")
-        if "trivial" in comp:
-            print(f"  {comp['trivial']}")
+        note = comp.get("trivial") or comp.get("naive")
+        if note:
+            print(f"  {note}")
             continue
         con = comp["contraction"]
         print(f"  contraction removed {len(con['removed'])} node(s): {con['removed']}")

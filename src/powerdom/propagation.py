@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import NotFoundError
 from .graph import Graph, label_key
 
 __all__ = [
@@ -44,27 +43,40 @@ def _indices(g: Graph, labels: Iterable[str]) -> List[int]:
     return [g.index_of(lab) for lab in labels]
 
 
-def _force_closure(adj: Sequence[Sequence[int]], observed: bytearray, log: list) -> None:
-    """Run the zero-forcing rule to a fixed point, appending (forcer, forced)
-    index pairs to log. Mutates observed in place."""
+def _force_closure(
+    adj: Sequence[Sequence[int]],
+    observed: bytearray,
+    count: int,
+    log: Optional[list] = None,
+) -> int:
+    """Run the zero-forcing rule to a fixed point from the count observed
+    nodes; return the final observed count. Mutates observed in place and
+    appends (forcer, forced) index pairs to log when one is given."""
     n = len(adj)
+    if count == n:
+        return count
     unobs = [0] * n
     for v in range(n):
         unobs[v] = sum(1 for u in adj[v] if not observed[u])
     queue = deque(v for v in range(n) if observed[v] and unobs[v] == 1)
     while queue:
         v = queue.popleft()
-        if not observed[v] or unobs[v] != 1:
+        if unobs[v] != 1:
             continue
         w = next(u for u in adj[v] if not observed[u])
         observed[w] = 1
-        log.append((v, w))
+        count += 1
+        if log is not None:
+            log.append((v, w))
+        if count == n:
+            return count
         for x in adj[w]:
             unobs[x] -= 1
             if observed[x] and unobs[x] == 1:
                 queue.append(x)
         if unobs[w] == 1:
             queue.append(w)
+    return count
 
 
 def observes_all(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bool:
@@ -87,26 +99,7 @@ def observes_all(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bool:
         return True
     if count == 0:
         return False
-    unobs = [0] * n
-    for v in range(n):
-        unobs[v] = sum(1 for u in adj[v] if not observed[u])
-    queue = deque(v for v in range(n) if observed[v] and unobs[v] == 1)
-    while queue:
-        v = queue.popleft()
-        if not observed[v] or unobs[v] != 1:
-            continue
-        w = next(u for u in adj[v] if not observed[u])
-        observed[w] = 1
-        count += 1
-        if count == n:
-            return True
-        for x in adj[w]:
-            unobs[x] -= 1
-            if observed[x] and unobs[x] == 1:
-                queue.append(x)
-        if unobs[w] == 1:
-            queue.append(w)
-    return count == n
+    return _force_closure(adj, observed, count) == n
 
 
 def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
@@ -127,7 +120,7 @@ def zero_force(g: Graph, state: ObservationState) -> ObservationState:
     for i in _indices(g, state.observed):
         observed[i] = 1
     log: list = []
-    _force_closure(g.adjacency, observed, log)
+    _force_closure(g.adjacency, observed, len(state.observed), log)
     new_entries = tuple((g.label_at(a), g.label_at(b)) for a, b in log)
     return ObservationState(
         frozenset(g.label_at(i) for i in range(n) if observed[i]),

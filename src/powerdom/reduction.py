@@ -141,11 +141,8 @@ def contract(g: Graph) -> ContractionReport:
 # -- preferred nodes -------------------------------------------------------
 
 
-def _terminal_path_count(g: Graph, node: str) -> int:
-    """Number of maximal leaf-ending degree-2 runs anchored at the node."""
-    adj = g.adjacency
-    deg = [len(a) for a in adj]
-    i = g.index_of(node)
+def _terminal_path_count(adj, deg, i: int) -> int:
+    """Number of maximal leaf-ending degree-2 runs anchored at node i."""
     count = 0
     for u in adj[i]:
         if deg[u] > 2:
@@ -192,8 +189,10 @@ def preferred_nodes(g: Graph) -> PreferredReport:
     """
     if g.node_count == 0 or len(connected_components(g)) != 1:
         raise PreconditionError("preferred_nodes requires a connected, nonempty graph")
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
     b_pref = frozenset(
-        v for v in g.nodes if _terminal_path_count(g, v) >= 2
+        g.label_at(i) for i in range(g.node_count) if _terminal_path_count(adj, deg, i) >= 2
     )
     f_pref = set()
     forts: Dict[str, FrozenSet[str]] = {}

@@ -1,11 +1,11 @@
 """Solve pipeline: components, trivial cases, contraction, preferred nodes,
-candidate ordering, and level-by-level subset search in sequential,
-parallel, and naive-baseline modes.
+candidate ordering, and level-by-level subset search, with a naive
+unrestricted search as the reference mode.
 
 Levels are strict barriers: size k+1 is only searched once every k-subset
 has failed, which is what makes the reported pdn exact. Within a level,
-workers scan contiguous chunks of combination ranks; in deterministic mode
-the minimum-rank success wins regardless of worker count.
+workers scan contiguous chunks of combination ranks and return their hits
+in rank order, so the minimum-rank success wins at any worker count.
 """
 
 from __future__ import annotations
@@ -13,17 +13,26 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InternalError, ParameterError
 from .graph import Graph, connected_components, label_key
 from .propagation import is_power_dominating_set, observes_all
-from .reduction import candidate_list, contract, preferred_nodes, redundant_nodes
+from .reduction import (
+    ContractionReport,
+    PreferredReport,
+    ScoredCandidate,
+    candidate_list,
+    contract,
+    preferred_nodes,
+)
 
 __all__ = [
     "SolverConfig",
     "Diagnostics",
+    "PipelineReport",
     "SolveResult",
     "solve",
     "allminpds",
@@ -43,9 +52,7 @@ def default_workers() -> int:
 class SolverConfig:
     workers: int = 1
     mode: str = "optimized"  # "optimized" | "naive"
-    deterministic: bool = True
     chunk_size: int = 4096
-    count_subsets: bool = True
 
     def __post_init__(self):
         if self.workers < 1:
@@ -70,11 +77,23 @@ class Diagnostics:
 
 
 @dataclass(frozen=True)
+class PipelineReport:
+    """The pre-processing that an optimized solve ran on one component."""
+
+    contraction: ContractionReport
+    preferred: PreferredReport
+    candidates: Tuple[ScoredCandidate, ...]
+
+
+@dataclass(frozen=True)
 class SolveResult:
     pdn: int
     pds: Tuple[str, ...]
     per_component: Tuple[Tuple[FrozenSet[str], int, Tuple[str, ...]], ...]
     diagnostics: Diagnostics
+    # One entry per component, aligned with per_component; None where no
+    # pre-processing ran (trivial components and naive mode).
+    pipeline: Tuple[Optional[PipelineReport], ...]
 
 
 # -- combinatorics ---------------------------------------------------------
@@ -156,7 +175,7 @@ def subset_counts(
     return n_naive, n_reduced
 
 
-# -- chunk scanning (worker side) ------------------------------------------
+# -- chunk scanning ----------------------------------------------------------
 
 _POLL_MASK = 1023
 
@@ -164,129 +183,93 @@ _W_ADJ = None
 _W_SEEDS = None
 _W_CAND = None
 _W_STOP = None
-_W_SET_ON_FIND = False
 
 
-def _worker_init(adj, seeds, cand, stop, set_on_find):
-    global _W_ADJ, _W_SEEDS, _W_CAND, _W_STOP, _W_SET_ON_FIND
+def _worker_init(adj, seeds, cand, stop):
+    global _W_ADJ, _W_SEEDS, _W_CAND, _W_STOP
     _W_ADJ = adj
     _W_SEEDS = seeds
     _W_CAND = cand
     _W_STOP = stop
-    _W_SET_ON_FIND = set_on_find
 
 
-def _scan_range(adj, seeds, cand, k, start, end, stop=None, set_on_find=False):
-    """Test ranks [start, end) of k-combinations of candidate positions;
-    return the first successful rank or None."""
-    m = len(cand)
-    combo = combination_unrank(m, k, start)
-    rank = start
-    polls = 0
-    while rank < end:
-        if stop is not None and polls & _POLL_MASK == 0 and stop.value:
-            return None
-        polls += 1
-        if observes_all(adj, tuple(seeds) + tuple(cand[p] for p in combo)):
-            if set_on_find and stop is not None:
-                stop.value = 1
-            return rank
-        if not _next_combination(combo, m):
-            break
-        rank += 1
-    return None
-
-
-def _collect_range(adj, seeds, cand, k, start, end):
-    """Return every successful rank in [start, end)."""
+def _scan_range(adj, seeds, cand, k, start, end, first_only, stop=None) -> List[int]:
+    """Test ranks [start, end) of k-combinations of candidate positions,
+    each added to the seeds; return the successful ranks in order, stopping
+    at the first when first_only. A raised stop flag, polled every 1024
+    ranks, ends the scan early."""
     m = len(cand)
     combo = combination_unrank(m, k, start)
     hits = []
-    rank = start
-    while rank < end:
-        if observes_all(adj, tuple(seeds) + tuple(cand[p] for p in combo)):
-            hits.append(rank)
-        if not _next_combination(combo, m):
+    for rank in range(start, end):
+        if stop is not None and (rank - start) & _POLL_MASK == 0 and stop.value:
             break
-        rank += 1
+        if observes_all(adj, seeds + tuple(cand[p] for p in combo)):
+            hits.append(rank)
+            if first_only:
+                break
+        _next_combination(combo, m)
     return hits
 
 
 def _scan_task(spec):
-    k, start, end = spec
-    if _W_STOP is not None and _W_STOP.value:
-        return None
-    return _scan_range(
-        _W_ADJ, _W_SEEDS, _W_CAND, k, start, end,
-        stop=_W_STOP, set_on_find=_W_SET_ON_FIND,
-    )
-
-
-def _collect_task(spec):
-    k, start, end = spec
-    return _collect_range(_W_ADJ, _W_SEEDS, _W_CAND, k, start, end)
+    k, start, end, first_only = spec
+    return _scan_range(_W_ADJ, _W_SEEDS, _W_CAND, k, start, end, first_only, _W_STOP)
 
 
 class _WorkerTeam:
-    """Lazily created process pool sharing an immutable search payload and
-    an early-stop flag polled at chunk boundaries."""
+    """Process pool sharing an immutable search payload and an early-stop
+    flag. Chunk results come back in rank order and only this process
+    raises the flag, so a first-hit scan returns the minimum-rank hit."""
 
-    def __init__(self, workers: int, adj, seeds, cand, deterministic: bool):
-        self.workers = workers
-        self.adj = adj
-        self.seeds = seeds
-        self.cand = cand
-        self.deterministic = deterministic
-        self._pool = None
-        self._stop = None
-
-    def _ensure(self):
-        if self._pool is None:
-            ctx = multiprocessing.get_context("fork")
-            self._stop = ctx.Value("b", 0, lock=False)
-            self._pool = ctx.Pool(
-                self.workers,
-                initializer=_worker_init,
-                initargs=(self.adj, self.seeds, self.cand, self._stop,
-                          not self.deterministic),
-            )
-
-    def scan_level(self, k: int, total: int, chunk: int) -> Optional[int]:
-        self._ensure()
-        self._stop.value = 0
-        specs = (
-            (k, s, min(s + chunk, total)) for s in range(0, total, chunk)
+    def __init__(self, workers: int, adj, seeds, cand):
+        ctx = multiprocessing.get_context("fork")
+        self._stop = ctx.Value("b", 0, lock=False)
+        self._pool = ctx.Pool(
+            workers,
+            initializer=_worker_init,
+            initargs=(adj, seeds, cand, self._stop),
         )
-        win = None
-        if self.deterministic:
-            for res in self._pool.imap(_scan_task, specs):
-                if res is not None and win is None:
-                    win = res
-                    self._stop.value = 1
-        else:
-            for res in self._pool.imap_unordered(_scan_task, specs):
-                if res is not None:
-                    if win is None:
-                        win = res
-                    self._stop.value = 1
-        return win
 
-    def collect_level(self, k: int, total: int, chunk: int) -> List[int]:
-        self._ensure()
+    def scan_level(self, k: int, total: int, chunk: int, first_only: bool) -> List[int]:
         self._stop.value = 0
         specs = (
-            (k, s, min(s + chunk, total)) for s in range(0, total, chunk)
+            (k, s, min(s + chunk, total), first_only) for s in range(0, total, chunk)
         )
         hits: List[int] = []
-        for chunk_hits in self._pool.imap(_collect_task, specs):
+        for chunk_hits in self._pool.imap(_scan_task, specs):
             hits.extend(chunk_hits)
-        return hits
+            if first_only and hits:
+                self._stop.value = 1
+        return hits[:1] if first_only else hits
 
     def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        self._pool.terminate()
+        self._pool.join()
+
+
+@contextmanager
+def _level_scanner(adj, seeds: Tuple[int, ...], cand: Tuple[int, ...], cfg: SolverConfig):
+    """Yield scan(k, first_only) -> successful ranks of level k. A level runs
+    in this process unless workers > 1 and it spans more than one chunk; the
+    pool is started on first need and stopped on exit."""
+    m = len(cand)
+    team = None
+
+    def scan(k: int, first_only: bool) -> List[int]:
+        nonlocal team
+        total = math.comb(m, k)
+        if cfg.workers > 1 and total > cfg.chunk_size:
+            if team is None:
+                team = _WorkerTeam(cfg.workers, adj, seeds, cand)
+            return team.scan_level(k, total, cfg.chunk_size, first_only)
+        return _scan_range(adj, seeds, cand, k, 0, total, first_only)
+
+    try:
+        yield scan
+    finally:
+        if team is not None:
+            team.close()
 
 
 # -- level search ----------------------------------------------------------
@@ -310,28 +293,17 @@ def _search_levels(
     seeds + combination. Each level is exhausted before the next begins."""
     out = _LevelSearchOutcome()
     m = len(cand_idx)
-    team = None
-    try:
+    with _level_scanner(adj, seeds, cand_idx, cfg) as scan:
         for k in range(1, m + 1):
-            total = math.comb(m, k)
-            if cfg.workers > 1 and total > cfg.chunk_size:
-                if team is None:
-                    team = _WorkerTeam(cfg.workers, adj, seeds, cand_idx,
-                                       cfg.deterministic)
-                win = team.scan_level(k, total, cfg.chunk_size)
-            else:
-                win = _scan_range(adj, seeds, cand_idx, k, 0, total)
-            if win is not None:
+            hits = scan(k, first_only=True)
+            if hits:
                 out.k = k
-                out.combo_positions = combination_unrank(m, k, win)
-                out.checked += win + 1
+                out.combo_positions = combination_unrank(m, k, hits[0])
+                out.checked += hits[0] + 1
                 return out
-            out.checked += total
+            out.checked += math.comb(m, k)
             out.levels_completed += 1
-        return out
-    finally:
-        if team is not None:
-            team.close()
+    return out
 
 
 # -- per-component solvers -------------------------------------------------
@@ -349,6 +321,7 @@ class _ComponentOutcome:
     candidates: int = 0
     subsets_checked: int = 0
     levels_completed: int = 0
+    pipeline: Optional[PipelineReport] = None
 
 
 def _solve_trivial_component(sub: Graph) -> _ComponentOutcome:
@@ -363,8 +336,7 @@ def _solve_trivial_component(sub: Graph) -> _ComponentOutcome:
 
 
 def _solve_optimized_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
-    adj = sub.adjacency
-    if all(len(a) <= 2 for a in adj):
+    if all(len(a) <= 2 for a in sub.adjacency):
         return _solve_trivial_component(sub)
     report = contract(sub)
     cg = report.contracted
@@ -372,22 +344,22 @@ def _solve_optimized_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutco
     pref_sorted = sorted(prep.pref, key=label_key)
     cands = candidate_list(cg, prep.pref)
     cand_labels = [c.node for c in cands]
-    cadj = cg.adjacency
-    deg3 = sum(1 for a in cadj if len(a) >= 3)
-    redundant = redundant_nodes(cg, prep.pref)
-    r_stat = sum(
-        1 for v in redundant if cg.degree(v) >= 3 and v not in prep.pref
-    )
+    deg3 = [v for v in cg.nodes if cg.degree(v) >= 3]
+    # Candidates are exactly the degree->=3 nodes that are neither preferred
+    # nor redundant, so the redundant ones among the rest are the difference.
+    free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
     out = _ComponentOutcome(
         pdn=0,
         pds=(),
         contracted_n=cg.node_count,
         removed=len(report.removed),
         pref_count=len(prep.pref),
-        d=cg.node_count - deg3,
-        r=r_stat,
-        candidates=len(cand_labels),
+        d=cg.node_count - len(deg3),
+        r=free_deg3 - len(cands),
+        candidates=len(cands),
+        pipeline=PipelineReport(report, prep, tuple(cands)),
     )
+    cadj = cg.adjacency
     seeds = tuple(cg.index_of(v) for v in pref_sorted)
     if pref_sorted:
         out.subsets_checked += 1
@@ -406,16 +378,16 @@ def _solve_optimized_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutco
         return out
     # Candidate levels exhausted without success. This is outside the
     # pipeline's structural guarantees; fall back to an unrestricted
-    # enumeration so the answer stays exact.
-    fallback = _solve_naive_component(sub, cfg)
-    fallback.contracted_n = out.contracted_n
-    fallback.removed = out.removed
-    fallback.pref_count = out.pref_count
-    fallback.d = out.d
-    fallback.r = out.r
-    fallback.candidates = out.candidates
-    fallback.subsets_checked += out.subsets_checked
-    return fallback
+    # enumeration so the answer stays exact, keeping the pre-processing
+    # statistics of the optimized attempt.
+    naive = _solve_naive_component(sub, cfg)
+    return replace(
+        out,
+        pdn=naive.pdn,
+        pds=naive.pds,
+        subsets_checked=out.subsets_checked + naive.subsets_checked,
+        levels_completed=naive.levels_completed,
+    )
 
 
 def _solve_naive_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
@@ -428,6 +400,7 @@ def _solve_naive_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
         pdn=level.k,
         pds=tuple(labels[p] for p in level.combo_positions),
         contracted_n=sub.node_count,
+        candidates=sub.node_count,
         subsets_checked=level.checked,
         levels_completed=level.levels_completed,
     )
@@ -443,58 +416,38 @@ def solve(g: Graph, config: Optional[SolverConfig] = None) -> SolveResult:
     union); the empty graph has pdn 0.
     """
     cfg = config or SolverConfig()
-    outcomes: List[_ComponentOutcome] = []
+    solve_component = (
+        _solve_naive_component if cfg.mode == "naive" else _solve_optimized_component
+    )
     comps = connected_components(g)
-    for comp in comps:
-        sub = g.induced(comp)
-        if cfg.mode == "naive":
-            outcomes.append(_solve_naive_component(sub, cfg))
-        else:
-            outcomes.append(_solve_optimized_component(sub, cfg))
+    outcomes = [solve_component(g.induced(comp), cfg) for comp in comps]
     pdn = sum(o.pdn for o in outcomes)
     pds: Tuple[str, ...] = tuple(v for o in outcomes for v in o.pds)
     if g.node_count and not is_power_dominating_set(g, pds):
         raise InternalError("solver returned a set that fails verification")
-    if cfg.mode == "naive":
-        n_formula, n_prime = subset_counts(g.node_count, pdn, g.node_count, 0, 0, 0)
-        diag = Diagnostics(
-            n_formula=n_formula,
-            n_prime_formula=n_prime,
-            p=0,
-            d=0,
-            r=0,
-            candidates=g.node_count,
-            removed_by_contraction=0,
-            subsets_checked=sum(o.subsets_checked for o in outcomes)
-            if cfg.count_subsets
-            else 0,
-            levels_completed=sum(o.levels_completed for o in outcomes),
-        )
-    else:
-        p_total = sum(o.pref_count for o in outcomes)
-        d_total = sum(o.d for o in outcomes)
-        r_total = sum(o.r for o in outcomes)
-        contracted_total = sum(o.contracted_n for o in outcomes)
-        n_formula, n_prime = subset_counts(
-            g.node_count, pdn, contracted_total, p_total, d_total, r_total
-        )
-        diag = Diagnostics(
-            n_formula=n_formula,
-            n_prime_formula=n_prime,
-            p=p_total,
-            d=d_total,
-            r=r_total,
-            candidates=sum(o.candidates for o in outcomes),
-            removed_by_contraction=sum(o.removed for o in outcomes),
-            subsets_checked=sum(o.subsets_checked for o in outcomes)
-            if cfg.count_subsets
-            else 0,
-            levels_completed=sum(o.levels_completed for o in outcomes),
-        )
-    per_component = tuple(
-        (comp, o.pdn, o.pds) for comp, o in zip(comps, outcomes)
+    p = sum(o.pref_count for o in outcomes)
+    d = sum(o.d for o in outcomes)
+    r = sum(o.r for o in outcomes)
+    contracted_total = sum(o.contracted_n for o in outcomes)
+    n_formula, n_prime = subset_counts(g.node_count, pdn, contracted_total, p, d, r)
+    diag = Diagnostics(
+        n_formula=n_formula,
+        n_prime_formula=n_prime,
+        p=p,
+        d=d,
+        r=r,
+        candidates=sum(o.candidates for o in outcomes),
+        removed_by_contraction=sum(o.removed for o in outcomes),
+        subsets_checked=sum(o.subsets_checked for o in outcomes),
+        levels_completed=sum(o.levels_completed for o in outcomes),
     )
-    return SolveResult(pdn=pdn, pds=pds, per_component=per_component, diagnostics=diag)
+    return SolveResult(
+        pdn=pdn,
+        pds=pds,
+        per_component=tuple((comp, o.pdn, o.pds) for comp, o in zip(comps, outcomes)),
+        diagnostics=diag,
+        pipeline=tuple(o.pipeline for o in outcomes),
+    )
 
 
 def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet[str]]:
@@ -506,18 +459,9 @@ def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet
     k = solve(g, cfg).pdn
     labels = sorted(g.nodes, key=label_key)
     idx = tuple(g.index_of(v) for v in labels)
-    adj = g.adjacency
-    total = math.comb(len(labels), k)
-    if cfg.workers > 1 and total > cfg.chunk_size:
-        team = _WorkerTeam(cfg.workers, adj, (), idx, True)
-        try:
-            hits = team.collect_level(k, total, cfg.chunk_size)
-        finally:
-            team.close()
-    else:
-        hits = _collect_range(adj, (), idx, k, 0, total)
-    result = []
-    for rank in hits:
-        combo = combination_unrank(len(labels), k, rank)
-        result.append(frozenset(labels[p] for p in combo))
-    return result
+    with _level_scanner(g.adjacency, (), idx, cfg) as scan:
+        hits = scan(k, first_only=False)
+    return [
+        frozenset(labels[p] for p in combination_unrank(len(labels), k, rank))
+        for rank in hits
+    ]

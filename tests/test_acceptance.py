@@ -232,7 +232,7 @@ def test_criterion_8_parallel_determinism():
     graphs += [erdos_renyi_connected(30, 0.12, seed) for seed in range(20)]
     for g in graphs:
         results = [
-            solve(g, SolverConfig(workers=w, deterministic=True, chunk_size=64))
+            solve(g, SolverConfig(workers=w, chunk_size=64))
             for w in (1, 2, 8)
         ]
         signatures = {

@@ -128,6 +128,36 @@ class TestAnalyzeCommand:
         assert "trivial" in payload["analysis"][0]
 
 
+    def test_naive_mode_reports_no_preprocessing(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--builtin", "zim", "--workers", "1",
+            "--mode", "naive", "--json",
+        )
+        assert code == 0
+        comp = json.loads(out)["analysis"][0]
+        assert "naive" in comp
+        assert "contraction" not in comp and "preferred" not in comp
+
+    def test_reports_the_solve_pipeline_without_rerunning_it(self, capsys, monkeypatch):
+        import powerdom.cli
+        import powerdom.reduction
+        import powerdom.search
+
+        calls = []
+        real = powerdom.reduction.preferred_nodes
+
+        def counting(g):
+            calls.append(g.node_count)
+            return real(g)
+
+        for mod in (powerdom.reduction, powerdom.search, powerdom.cli):
+            if hasattr(mod, "preferred_nodes"):
+                monkeypatch.setattr(mod, "preferred_nodes", counting)
+        code, _, _ = run_cli(capsys, "analyze", "--builtin", "zim", "--workers", "1")
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestWorkersDeterminism:
     def test_json_identical_apart_from_timing(self, capsys):
         payloads = []

@@ -1,0 +1,74 @@
+"""Golden answers for the builtin graphs.
+
+The values were recorded from the solver before its search layer was
+merged into a single scanner and closure kernel; they pin pdn, the exact
+placement, every Diagnostics field and the allminpds enumeration order.
+"""
+
+import dataclasses
+
+import pytest
+
+from powerdom import SolverConfig, allminpds, builtin_graph, solve
+
+# (name, mode) -> (pdn, pds, Diagnostics fields in declaration order:
+# n_formula, n_prime_formula, p, d, r, candidates, removed_by_contraction,
+# subsets_checked, levels_completed)
+SOLVE_GOLDEN = {
+    ("zim", "optimized"): (2, ("9", "5"), (12, 1, 1, 6, 1, 3, 0, 2, 0)),
+    ("zim", "naive"): (2, ("1", "9"), (12, 12, 0, 0, 0, 11, 0, 21, 1)),
+    ("fig3", "optimized"): (1, ("1",), (1, 0, 1, 3, 1, 0, 0, 1, 0)),
+    ("fig3", "naive"): (1, ("1",), (1, 1, 0, 0, 0, 5, 0, 1, 0)),
+    ("tadpole", "optimized"): (1, ("v3",), (1, 0, 1, 3, 0, 0, 2, 1, 0)),
+    ("tadpole", "naive"): (1, ("v1",), (1, 1, 0, 0, 0, 6, 0, 1, 0)),
+    ("mutated_zim", "optimized"): (2, ("9", "5"), (20, 1, 1, 6, 1, 3, 8, 2, 0)),
+    ("mutated_zim", "naive"): (2, ("1", "9"), (20, 20, 0, 0, 0, 19, 0, 37, 1)),
+    ("ieee39", "optimized"): (
+        5, ("16", "19", "26", "6", "11"), (92171, 12, 3, 19, 4, 11, 2, 14, 1),
+    ),
+    ("ieee39", "naive"): (
+        5, ("1", "10", "16", "19", "26"), (92171, 92171, 0, 0, 0, 39, 0, 95047, 4),
+    ),
+}
+
+ALLMINPDS_GOLDEN = {
+    "zim": [
+        ["1", "9"], ["10", "2"], ["10", "5"], ["10", "7"], ["11", "2"],
+        ["11", "5"], ["11", "7"], ["2", "9"], ["3", "9"], ["4", "9"],
+        ["5", "9"], ["7", "9"], ["8", "9"],
+    ],
+    "fig3": [["1"], ["2"], ["3"]],
+    "tadpole": [["v1"], ["v2"], ["v3"], ["v6"]],
+    "mutated_zim": [
+        ["1", "9"], ["10", "2"], ["10", "5"], ["10", "7"], ["11", "2"],
+        ["11", "5"], ["11", "7"], ["12", "9"], ["13", "9"], ["14", "9"],
+        ["15", "9"], ["16", "2"], ["16", "5"], ["16", "7"], ["17", "2"],
+        ["17", "5"], ["17", "7"], ["18", "2"], ["18", "5"], ["18", "7"],
+        ["19", "2"], ["19", "5"], ["19", "7"], ["2", "9"], ["3", "9"],
+        ["4", "9"], ["5", "9"], ["7", "9"], ["8", "9"],
+    ],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, mode", sorted(SOLVE_GOLDEN))
+def test_solve_matches_golden(name, mode, workers):
+    pdn, pds, diag = SOLVE_GOLDEN[(name, mode)]
+    res = solve(builtin_graph(name), SolverConfig(workers=workers, mode=mode))
+    assert res.pdn == pdn
+    assert res.pds == pds
+    assert dataclasses.astuple(res.diagnostics) == diag
+
+
+@pytest.mark.parametrize("name", ["zim", "fig3", "tadpole", "mutated_zim", "ieee39"])
+def test_pool_driven_solve_matches_golden(name):
+    pdn, pds, diag = SOLVE_GOLDEN[(name, "optimized")]
+    res = solve(builtin_graph(name), SolverConfig(workers=2, chunk_size=4))
+    assert (res.pdn, res.pds, dataclasses.astuple(res.diagnostics)) == (pdn, pds, diag)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(ALLMINPDS_GOLDEN))
+def test_allminpds_matches_golden(name, workers):
+    sets = allminpds(builtin_graph(name), SolverConfig(workers=workers, chunk_size=4))
+    assert [sorted(s) for s in sets] == ALLMINPDS_GOLDEN[name]

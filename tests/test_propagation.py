@@ -13,7 +13,7 @@ from powerdom import (
     zero_force,
 )
 
-from oracles import oracle_power_dominate, random_graph
+from oracles import oracle_is_pds, oracle_power_dominate, random_graph
 
 
 class TestDominate:
@@ -86,6 +86,7 @@ class TestPowerDominate:
             g = random_graph(seed, 10, 0.25)
             pmus = {v for v in g.nodes if rng.random() < 0.25}
             assert power_dominate(g, pmus).observed == oracle_power_dominate(g, pmus)
+            assert is_power_dominating_set(g, pmus) == oracle_is_pds(g, pmus)
 
     def test_monotone_in_input_set(self):
         rng = random.Random(5)

@@ -157,10 +157,6 @@ class TestSolve:
             assert is_power_dominating_set(g, naive.pds)
             checked += 1
 
-    def test_count_subsets_switch(self, zim):
-        res = solve(zim, SolverConfig(count_subsets=False))
-        assert res.diagnostics.subsets_checked == 0
-
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
             SolverConfig(workers=0)
@@ -217,3 +213,21 @@ class TestAllMinPds:
         a = allminpds(zim, SolverConfig(workers=1, chunk_size=4))
         b = allminpds(zim, SolverConfig(workers=8, chunk_size=4))
         assert a == b
+
+
+class TestFallback:
+    def test_empty_candidate_list_falls_back_to_naive(self, ieee39, monkeypatch):
+        import powerdom.search
+
+        monkeypatch.setattr(powerdom.search, "candidate_list", lambda g, pref: [])
+        res = solve(ieee39, SolverConfig(workers=1))
+        assert res.pdn == 5
+        assert is_power_dominating_set(ieee39, res.pds)
+        d = res.diagnostics
+        # Pre-processing statistics come from the optimized attempt.
+        assert d.removed_by_contraction == 2
+        assert d.p == 3
+        assert d.d == 19
+        # The failed preferred-set check plus the whole naive search.
+        assert d.subsets_checked == 1 + 95047
+        assert d.levels_completed == 4
