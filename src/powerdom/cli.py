@@ -63,7 +63,7 @@ def _load_graph(args) -> Graph:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         return args.workers
     env = os.environ.get("PDT_WORKERS")
     if env:

@@ -324,18 +324,7 @@ def erdos_renyi_connected(n: int, p: float, seed: int, max_attempts: int = 1_000
                     pairs.append((i, j))
         if len(pairs) < n - 1:
             continue
-        seen = bytearray(n)
-        seen[0] = 1
-        queue = deque([0])
-        reached = 1
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    reached += 1
-                    queue.append(u)
-        if reached == n:
+        if len(_reach(adj, 0, bytearray(n))) == n:
             return Graph(labels, [(labels[i], labels[j]) for i, j in pairs])
     raise ParameterError(
         f"no connected graph after {max_attempts} attempts (n={n}, p={p})"
@@ -345,26 +334,26 @@ def erdos_renyi_connected(n: int, p: float, seed: int, max_attempts: int = 1_000
 # -- elementary algorithms -------------------------------------------------
 
 
+def _reach(adj, start: int, seen: bytearray) -> list:
+    """Indices reachable from start through nodes not yet marked in seen,
+    in BFS order; marks each of them (start included) in seen."""
+    seen[start] = 1
+    block = [start]
+    for v in block:
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = 1
+                block.append(u)
+    return block
+
+
 def connected_components(g: Graph) -> Tuple[frozenset, ...]:
     """Maximal connected node sets, ordered by smallest node index."""
-    n = g.node_count
-    adj = g.adjacency
-    seen = bytearray(n)
+    seen = bytearray(g.node_count)
     blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        queue = deque([start])
-        block = [start]
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    block.append(u)
-                    queue.append(u)
-        blocks.append(frozenset(g.label_at(i) for i in block))
+    for start in range(g.node_count):
+        if not seen[start]:
+            blocks.append(frozenset(g.label_at(i) for i in _reach(g.adjacency, start, seen)))
     return tuple(blocks)
 
 
@@ -412,19 +401,7 @@ def articulation_points(g: Graph) -> frozenset:
 
 def bfs_distances(g: Graph, source: str) -> DistanceMap:
     """Exact shortest-path hop counts from a single source."""
-    src = g.index_of(source)
-    n = g.node_count
-    adj = g.adjacency
-    dist = [None] * n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if dist[u] is None:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return DistanceMap(source, {g.label_at(i): dist[i] for i in range(n)})
+    return DistanceMap(source, multi_source_distances(g, [source]))
 
 
 def multi_source_distances(g: Graph, sources: Iterable[str]) -> Dict[str, Optional[int]]:

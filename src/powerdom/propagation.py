@@ -1,8 +1,11 @@
 """The power domination process: domination step, zero-forcing closure,
 PDS verification, and forcing-chain extraction.
 
-All functions are pure; a single run touches each edge O(1) times
-amortized via per-node unobserved-neighbor counters.
+All functions are pure. One index-level kernel, ``_observe``, runs the
+process; it keeps an unobserved-neighbor counter only for observed nodes
+and fills a node's counter when the node becomes observed, so a run costs
+O(n) for its flag array plus the degrees of the nodes it observes, however
+little of the graph that is.
 """
 
 from __future__ import annotations
@@ -46,19 +49,27 @@ def _indices(g: Graph, labels: Iterable[str]) -> List[int]:
 def _force_closure(
     adj: Sequence[Sequence[int]],
     observed: bytearray,
-    count: int,
+    marked: Sequence[int],
     log: Optional[list] = None,
 ) -> int:
-    """Run the zero-forcing rule to a fixed point from the count observed
-    nodes; return the final observed count. Mutates observed in place and
-    appends (forcer, forced) index pairs to log when one is given."""
+    """Run the zero-forcing rule to a fixed point from the observed nodes
+    listed in marked (each flagged in observed, no repeats); return the
+    final observed count. Mutates observed in place and appends (forcer,
+    forced) index pairs to log when one is given.
+
+    Forcers are queued in the order of marked, then as they reach one
+    unobserved neighbor. Counters exist only for observed nodes, so the
+    work follows the degrees of the nodes observed, not the whole graph."""
     n = len(adj)
+    count = len(marked)
     if count == n:
         return count
     unobs = [0] * n
-    for v in range(n):
-        unobs[v] = sum(1 for u in adj[v] if not observed[u])
-    queue = deque(v for v in range(n) if observed[v] and unobs[v] == 1)
+    queue = deque()
+    for v in marked:
+        unobs[v] = c = sum(1 for u in adj[v] if not observed[u])
+        if c == 1:
+            queue.append(v)
     while queue:
         v = queue.popleft()
         if unobs[v] != 1:
@@ -70,36 +81,40 @@ def _force_closure(
             log.append((v, w))
         if count == n:
             return count
+        c = 0
         for x in adj[w]:
-            unobs[x] -= 1
-            if observed[x] and unobs[x] == 1:
-                queue.append(x)
-        if unobs[w] == 1:
+            if observed[x]:
+                unobs[x] -= 1
+                if unobs[x] == 1:
+                    queue.append(x)
+            else:
+                c += 1
+        unobs[w] = c
+        if c == 1:
             queue.append(w)
     return count
+
+
+def _observe(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> Tuple[bytearray, int]:
+    """Run the power domination process from the given seed indices;
+    return the observed flags and the observed count."""
+    observed = bytearray(len(adj))
+    marked = []
+    for s in seeds:
+        if not observed[s]:
+            observed[s] = 1
+            marked.append(s)
+        for u in adj[s]:
+            if not observed[u]:
+                observed[u] = 1
+                marked.append(u)
+    return observed, _force_closure(adj, observed, marked)
 
 
 def observes_all(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bool:
     """Fast check: does the power domination process started from the given
     seed indices observe every node? Index-level hot path for the search."""
-    n = len(adj)
-    if n == 0:
-        return True
-    observed = bytearray(n)
-    count = 0
-    for s in seeds:
-        if not observed[s]:
-            observed[s] = 1
-            count += 1
-        for u in adj[s]:
-            if not observed[u]:
-                observed[u] = 1
-                count += 1
-    if count == n:
-        return True
-    if count == 0:
-        return False
-    return _force_closure(adj, observed, count) == n
+    return _observe(adj, seeds)[1] == len(adj)
 
 
 def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
@@ -117,10 +132,11 @@ def zero_force(g: Graph, state: ObservationState) -> ObservationState:
     """Apply the forcing rule to a fixed point, extending the force log."""
     n = g.node_count
     observed = bytearray(n)
-    for i in _indices(g, state.observed):
+    marked = sorted(_indices(g, state.observed))
+    for i in marked:
         observed[i] = 1
     log: list = []
-    _force_closure(g.adjacency, observed, len(state.observed), log)
+    _force_closure(g.adjacency, observed, marked, log)
     new_entries = tuple((g.label_at(a), g.label_at(b)) for a, b in log)
     return ObservationState(
         frozenset(g.label_at(i) for i in range(n) if observed[i]),

@@ -3,14 +3,13 @@ via terminal forts, redundant-node elimination, and qualitative scoring."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .errors import NotFoundError, PreconditionError
-from .graph import Graph, connected_components, articulation_points, label_key, multi_source_distances
-from .propagation import power_dominate
+from .errors import PreconditionError
+from .graph import Graph, _reach, connected_components, articulation_points, label_key, multi_source_distances
+from .propagation import _observe
 
 __all__ = [
     "ContractionReport",
@@ -153,28 +152,8 @@ def _terminal_path_count(adj, deg, i: int) -> int:
     return count
 
 
-def _components_without(g: Graph, v: str) -> List[FrozenSet[str]]:
-    vi = g.index_of(v)
-    n = g.node_count
-    adj = g.adjacency
-    seen = bytearray(n)
-    seen[vi] = 1
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        queue = deque([start])
-        block = [start]
-        while queue:
-            x = queue.popleft()
-            for u in adj[x]:
-                if not seen[u]:
-                    seen[u] = 1
-                    block.append(u)
-                    queue.append(u)
-        comps.append(frozenset(g.label_at(i) for i in block))
-    return comps
+# maps observed flags (0/1) to "unobserved" flags for a _reach seen array
+_UNOBSERVED = bytes([1, 0]) + bytes(254)
 
 
 def preferred_nodes(g: Graph) -> PreferredReport:
@@ -187,26 +166,38 @@ def preferred_nodes(g: Graph) -> PreferredReport:
     which a single such component attached by >= 2 edges contains another
     f-preferred node.
     """
-    if g.node_count == 0 or len(connected_components(g)) != 1:
-        raise PreconditionError("preferred_nodes requires a connected, nonempty graph")
     adj = g.adjacency
+    n = g.node_count
+    if n == 0 or len(_reach(adj, 0, bytearray(n))) != n:
+        raise PreconditionError("preferred_nodes requires a connected, nonempty graph")
     deg = [len(a) for a in adj]
     b_pref = frozenset(
-        g.label_at(i) for i in range(g.node_count) if _terminal_path_count(adj, deg, i) >= 2
+        g.label_at(i) for i in range(n) if _terminal_path_count(adj, deg, i) >= 2
     )
     f_pref = set()
     forts: Dict[str, FrozenSet[str]] = {}
     witness_comps: Dict[str, List[FrozenSet[str]]] = {}
     for v in sorted(articulation_points(g), key=label_key):
-        observed = power_dominate(g, {v}).observed
-        nbrs = set(g.neighbors(v))
-        full = [c for c in _components_without(g, v) if c <= observed]
-        union = frozenset().union(*full) if full else frozenset()
-        if sum(1 for u in nbrs if u in union) >= 2:
+        vi = g.index_of(v)
+        observed, _ = _observe(adj, [vi])
+        # Every neighbor of v is observed by the domination step and v never
+        # forces, so a component of g - v is fully observed iff the observed
+        # nodes reached from a neighbor have no unobserved neighbor.
+        seen = observed.translate(_UNOBSERVED)
+        seen[vi] = 1
+        nbrs = set(adj[vi])
+        full = []
+        for u in adj[vi]:
+            if seen[u]:
+                continue
+            block = _reach(adj, u, seen)
+            if all(observed[y] for x in block for y in adj[x]):
+                full.append((block, sum(1 for x in block if x in nbrs)))
+        if sum(e for _, e in full) >= 2:
             f_pref.add(v)
-            forts[v] = union
+            forts[v] = frozenset(g.label_at(x) for block, _ in full for x in block)
             witness_comps[v] = [
-                c for c in full if sum(1 for u in nbrs if u in c) >= 2
+                frozenset(g.label_at(x) for x in block) for block, e in full if e >= 2
             ]
     p_pref = None
     for v in sorted(f_pref, key=label_key):
@@ -230,13 +221,13 @@ def preferred_nodes(g: Graph) -> PreferredReport:
 def redundant_nodes(g: Graph, pref: Iterable[str]) -> FrozenSet[str]:
     """Nodes whose closed neighborhood is entirely observed after running
     the process on the preferred set."""
-    pref = set(pref)
-    observed = power_dominate(g, pref).observed
-    out = []
-    for v in g.nodes:
-        if v in observed and all(u in observed for u in g.neighbors(v)):
-            out.append(v)
-    return frozenset(out)
+    adj = g.adjacency
+    observed, _ = _observe(adj, {g.index_of(v) for v in pref})
+    return frozenset(
+        g.label_at(i)
+        for i in range(g.node_count)
+        if observed[i] and all(observed[u] for u in adj[i])
+    )
 
 
 def qualitative_scores(g: Graph, pref: Iterable[str]) -> Dict[str, ScoredCandidate]:

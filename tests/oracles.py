@@ -49,28 +49,80 @@ def oracle_min_pds_sets(g: Graph):
     ]
 
 
-def oracle_articulation_points(g: Graph) -> set:
-    def component_count(graph: Graph) -> int:
-        remaining = set(graph.nodes)
-        count = 0
-        while remaining:
-            count += 1
-            stack = [remaining.pop()]
-            while stack:
-                v = stack.pop()
-                for u in graph.neighbors(v):
-                    if u in remaining:
-                        remaining.remove(u)
-                        stack.append(u)
-        return count
+def oracle_components(g: Graph) -> list:
+    """Connected node sets of g, by depth-first search over label sets."""
+    remaining = set(g.nodes)
+    comps = []
+    while remaining:
+        stack = [remaining.pop()]
+        comp = set(stack)
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u in remaining:
+                    remaining.remove(u)
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(comp)
+    return comps
 
-    base = component_count(g)
+
+def oracle_articulation_points(g: Graph) -> set:
+    base = len(oracle_components(g))
     cut = set()
     for v in g.nodes:
         rest = [u for u in g.nodes if u != v]
-        if component_count(g.induced(rest)) > base:
+        if len(oracle_components(g.induced(rest))) > base:
             cut.add(v)
     return cut
+
+
+def oracle_preferred_nodes(g: Graph):
+    """(b_preferred, f_preferred, forts, p_preferred, pref) from the
+    definitions, for a connected nonempty graph.
+
+    A terminal path at v is a component of g minus v and its degree->=3
+    nodes that holds a leaf of g and touches v. b-preferred: two or more
+    terminal paths. f-preferred: a cut node v whose components of g - v
+    that are fully observed from {v} attach to v by two or more edges in
+    total; their union is v's fort. p-preferred: the first f-preferred node,
+    in label byte order, with one such component attached by two or more
+    edges that holds another f-preferred node. pref is {p} if there is one,
+    else the b- and f-preferred nodes.
+    """
+    b_pref = set()
+    for v in g.nodes:
+        low = [u for u in g.nodes if u != v and g.degree(u) <= 2]
+        terminal = [
+            c for c in oracle_components(g.induced(low))
+            if any(g.degree(u) == 1 for u in c) and c & set(g.neighbors(v))
+        ]
+        if len(terminal) >= 2:
+            b_pref.add(v)
+    forts = {}
+    witnesses = {}
+    for v in oracle_articulation_points(g):
+        observed = oracle_power_dominate(g, {v})
+        rest = g.induced(u for u in g.nodes if u != v)
+        full = [c for c in oracle_components(rest) if c <= observed]
+        edges = [len(c & set(g.neighbors(v))) for c in full]
+        if sum(edges) >= 2:
+            forts[v] = frozenset().union(*full)
+            witnesses[v] = [c for c, e in zip(full, edges) if e >= 2]
+    f_pref = set(forts)
+    p_pref = None
+    for v in sorted(f_pref, key=lambda lab: lab.encode("utf-8")):
+        if any(c & (f_pref - {v}) for c in witnesses[v]):
+            p_pref = v
+            break
+    pref = {p_pref} if p_pref is not None else b_pref | f_pref
+    return b_pref, f_pref, forts, p_pref, pref
+
+
+def oracle_redundant_nodes(g: Graph, pref) -> set:
+    """Nodes whose closed neighborhood is observed from the set pref."""
+    observed = oracle_power_dominate(g, pref)
+    return {v for v in g.nodes if v in observed and set(g.neighbors(v)) <= observed}
 
 
 def oracle_shortest_distance(g: Graph, source, target):

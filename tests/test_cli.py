@@ -176,6 +176,13 @@ class TestWorkersDeterminism:
         assert code == 0
         assert out.strip() == "2"
 
+    @pytest.mark.parametrize("w", ["0", "-1"])
+    def test_nonpositive_workers_flag_exits_2(self, capsys, monkeypatch, w):
+        monkeypatch.setenv("PDT_WORKERS", "1")
+        code, _, err = run_cli(capsys, "pdn", "--builtin", "zim", "--workers", w)
+        assert code == 2
+        assert "workers must be >= 1" in err
+
     def test_bad_env_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PDT_WORKERS", "zero")
         code, _, err = run_cli(capsys, "pdn", "--builtin", "zim")

@@ -3,13 +3,15 @@
 The values were recorded from the solver before its search layer was
 merged into a single scanner and closure kernel; they pin pdn, the exact
 placement, every Diagnostics field and the allminpds enumeration order.
+The force logs were recorded before the closure kernel started keeping
+counters only for observed nodes; they pin the order in which forces fire.
 """
 
 import dataclasses
 
 import pytest
 
-from powerdom import SolverConfig, allminpds, builtin_graph, solve
+from powerdom import SolverConfig, allminpds, builtin_graph, power_dominate, solve
 
 # (name, mode) -> (pdn, pds, Diagnostics fields in declaration order:
 # n_formula, n_prime_formula, p, d, r, candidates, removed_by_contraction,
@@ -49,6 +51,29 @@ ALLMINPDS_GOLDEN = {
     ],
 }
 
+# (name, PMU labels) -> power_dominate(...).force_log, for the first label of
+# each builtin and for its optimized placement from SOLVE_GOLDEN
+FORCE_LOG_GOLDEN = {
+    ("fig3", ("1",)): (("2", "5"),),
+    ("ieee39", ("1",)): (("39", "9"), ("9", "8")),
+    ("ieee39", ("16", "19", "26", "6", "11")): (
+        ("7", "8"), ("12", "13"), ("15", "14"), ("17", "18"), ("20", "34"),
+        ("21", "22"), ("24", "23"), ("29", "38"), ("5", "4"), ("8", "9"),
+        ("10", "32"), ("18", "3"), ("22", "35"), ("23", "36"), ("9", "39"),
+        ("3", "2"), ("39", "1"), ("25", "37"), ("2", "30"),
+    ),
+    ("mutated_zim", ("1",)): (),
+    ("mutated_zim", ("9", "5")): (
+        ("1", "2"), ("4", "13"), ("10", "16"), ("11", "19"), ("2", "3"),
+        ("13", "14"), ("16", "17"), ("19", "18"), ("7", "8"), ("14", "15"),
+        ("8", "12"),
+    ),
+    ("tadpole", ("v1",)): (("v2", "v6"), ("v3", "v4"), ("v4", "v5")),
+    ("tadpole", ("v3",)): (("v1", "v2"), ("v4", "v5")),
+    ("zim", ("1",)): (),
+    ("zim", ("9", "5")): (("1", "2"), ("2", "3"), ("7", "8")),
+}
+
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name, mode", sorted(SOLVE_GOLDEN))
@@ -72,3 +97,9 @@ def test_pool_driven_solve_matches_golden(name):
 def test_allminpds_matches_golden(name, workers):
     sets = allminpds(builtin_graph(name), SolverConfig(workers=workers, chunk_size=4))
     assert [sorted(s) for s in sets] == ALLMINPDS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name, pmus", sorted(FORCE_LOG_GOLDEN))
+def test_force_log_matches_golden(name, pmus):
+    g = builtin_graph(name)
+    assert power_dominate(g, set(pmus)).force_log == FORCE_LOG_GOLDEN[(name, pmus)]

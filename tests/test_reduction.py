@@ -6,6 +6,7 @@ import pytest
 from powerdom import (
     Graph,
     PreconditionError,
+    articulation_points,
     builtin_graph,
     candidate_list,
     contract,
@@ -16,7 +17,13 @@ from powerdom import (
     redundant_nodes,
 )
 
-from oracles import oracle_min_pds_sets, oracle_pdn, random_graph
+from oracles import (
+    oracle_min_pds_sets,
+    oracle_pdn,
+    oracle_preferred_nodes,
+    oracle_redundant_nodes,
+    random_graph,
+)
 
 
 def graphs_with_branch_node(count, n, p, start_seed=0):
@@ -34,6 +41,37 @@ def graphs_with_branch_node(count, n, p, start_seed=0):
             continue
         out.append(g)
     return out
+
+
+def tree_with_pendant_paths(rng):
+    """Random tree, plus pendant paths of length 1-4, plus 0-3 chords."""
+    labels = [str(i) for i in range(rng.randint(3, 12))]
+    edges = [(labels[i], labels[rng.randrange(i)]) for i in range(1, len(labels))]
+    for _ in range(rng.randint(1, 4)):
+        prev = rng.choice(labels)
+        for _ in range(rng.randint(1, 4)):
+            labels.append(str(len(labels)))
+            edges.append((prev, labels[-1]))
+            prev = labels[-1]
+    for _ in range(rng.randint(0, 3)):
+        edges.append(tuple(rng.sample(labels, 2)))
+    return Graph(labels, edges)
+
+
+def bridged_cycles(rng):
+    """Cycles of length 3-6, each joined to an earlier one by a bridge,
+    with an occasional pendant node."""
+    labels, edges = [], []
+    for c in range(rng.randint(2, 5)):
+        cycle = [f"c{c}.{i}" for i in range(rng.randint(3, 6))]
+        edges += [(cycle[i - 1], cycle[i]) for i in range(len(cycle))]
+        if labels:
+            edges.append((rng.choice(labels), rng.choice(cycle)))
+        labels += cycle
+    for i in range(rng.randint(0, 2)):
+        edges.append((rng.choice(labels), f"p{i}"))
+        labels.append(f"p{i}")
+    return Graph(labels, edges)
 
 
 class TestContract:
@@ -163,6 +201,28 @@ class TestPreferredNodes:
                 count += 1
                 assert is_power_dominating_set(g, {rep.p_preferred})
         assert count >= 1
+
+    def test_matches_definition_oracle(self):
+        rng = random.Random(4242)
+        graphs = (
+            graphs_with_branch_node(60, 10, 0.22, start_seed=7000)
+            + [tree_with_pendant_paths(rng) for _ in range(80)]
+            + [bridged_cycles(rng) for _ in range(60)]
+        )
+        cut_nodes = 0
+        for g in graphs:
+            b_pref, f_pref, forts, p_pref, pref = oracle_preferred_nodes(g)
+            rep = preferred_nodes(g)
+            assert rep.b_preferred == b_pref
+            assert rep.f_preferred == f_pref
+            assert rep.forts == forts
+            assert rep.p_preferred == p_pref
+            assert rep.pref == pref
+            assert redundant_nodes(g, rep.pref) == oracle_redundant_nodes(g, pref)
+            extra = {v for v in g.nodes if rng.random() < 0.2}
+            assert redundant_nodes(g, extra) == oracle_redundant_nodes(g, extra)
+            cut_nodes += len(articulation_points(g))
+        assert cut_nodes >= 3 * len(graphs)
 
 
 class TestRedundantNodes:
