@@ -106,7 +106,8 @@ def _result_json(result, timing_ms: float) -> dict:
     }
 
 
-def _cmd_pdn(args) -> int:
+def _cmd_solve(args) -> int:
+    """pdn and minpds: the same solve, with the command's plain-text line."""
     g = _load_graph(args)
     start = time.perf_counter()
     result = solve(g, _config(args))
@@ -114,19 +115,7 @@ def _cmd_pdn(args) -> int:
     if args.json:
         print(json.dumps(_result_json(result, ms)))
     else:
-        print(result.pdn)
-    return EXIT_OK
-
-
-def _cmd_minpds(args) -> int:
-    g = _load_graph(args)
-    start = time.perf_counter()
-    result = solve(g, _config(args))
-    ms = (time.perf_counter() - start) * 1000
-    if args.json:
-        print(json.dumps(_result_json(result, ms)))
-    else:
-        print(json.dumps(list(result.pds)))
+        print(args.plain(result))
     return EXIT_OK
 
 
@@ -303,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pdn", help="print the power domination number")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_pdn)
+    p.set_defaults(func=_cmd_solve, plain=lambda result: result.pdn)
 
     p = sub.add_parser("minpds", help="print one minimum power dominating set")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_minpds)
+    p.set_defaults(func=_cmd_solve, plain=lambda result: json.dumps(list(result.pds)))
 
     p = sub.add_parser("allminpds", help="print every minimum power dominating set")
     _add_input_options(p)

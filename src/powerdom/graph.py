@@ -41,7 +41,7 @@ class Graph:
     unique labels.
     """
 
-    __slots__ = ("_labels", "_index", "_adj", "_adjsets", "_edge_count")
+    __slots__ = ("_labels", "_index", "_adj", "_edge_count")
 
     def __init__(self, labels: Iterable[str] = (), edges: Iterable[Tuple[str, str]] = ()):
         label_list = list(labels)
@@ -70,7 +70,6 @@ class Graph:
         self._labels: Tuple[str, ...] = tuple(label_list)
         self._index = index
         self._adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._adjsets: Tuple[frozenset, ...] = tuple(frozenset(s) for s in adj)
         self._edge_count = edge_count
 
     # -- basic accessors ---------------------------------------------------
@@ -112,7 +111,7 @@ class Graph:
         return tuple(sorted((self._labels[j] for j in self._adj[i]), key=label_key))
 
     def has_edge(self, u: str, v: str) -> bool:
-        return self.index_of(v) in self._adjsets[self.index_of(u)]
+        return self.index_of(v) in self._adj[self.index_of(u)]
 
     def edges(self) -> Iterator[Tuple[str, str]]:
         for i in range(len(self._labels)):
@@ -124,10 +123,13 @@ class Graph:
         return tuple((i, j) for i in range(len(self._labels)) for j in self._adj[i] if i < j)
 
     def induced(self, labels: Iterable[str]) -> "Graph":
-        """Induced subgraph on the given labels, preserving label order."""
+        """Induced subgraph on the given labels, preserving label order. A
+        graph is immutable, so keeping every node returns the graph itself."""
         keep = set(labels)
         for lab in keep:
             self.index_of(lab)
+        if len(keep) == len(self._labels):
+            return self
         sub_labels = [lab for lab in self._labels if lab in keep]
         sub_edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
         return Graph(sub_labels, sub_edges)
@@ -286,6 +288,13 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
+    """One "u v" line per edge. The format has no way to list a node
+    without an edge, so a graph with isolated nodes is rejected."""
+    isolated = sum(1 for nbrs in g.adjacency if not nbrs)
+    if isolated:
+        raise ParameterError(
+            f"an edge list cannot hold isolated nodes; the graph has {isolated}"
+        )
     lines = sorted(
         ((u, v) if label_key(u) <= label_key(v) else (v, u) for u, v in g.edges()),
         key=lambda e: (label_key(e[0]), label_key(e[1])),

@@ -174,15 +174,11 @@ def forcing_chains(g: Graph, pmus: Iterable[str]) -> List[ForcingChain]:
     forces = {forcer: forced for forcer, forced in state.force_log}
     chains = []
     for p in pmu_sorted:
-        for w in g.neighbors(p):
-            if attributed.get(w) != p:
-                continue
-            chain = [p, w]
-            while chain[-1] in forces:
-                chain.append(forces[chain[-1]])
-            chains.append(ForcingChain(tuple(chain)))
+        # chains through the attributed neighbours first, then the PMU's own
+        starts = [[p, w] for w in g.neighbors(p) if attributed.get(w) == p]
         if p in forces:
-            chain = [p]
+            starts.append([p])
+        for chain in starts:
             while chain[-1] in forces:
                 chain.append(forces[chain[-1]])
             chains.append(ForcingChain(tuple(chain)))

@@ -1,6 +1,12 @@
-"""Solve pipeline: components, trivial cases, contraction, preferred nodes,
-candidate ordering, and level-by-level subset search, with a naive
-unrestricted search as the reference mode.
+"""Solve pipeline: each connected component is solved by one level search
+over a plan of seeds and candidates.
+
+The search tests the seeds alone, then the seeds plus each k-combination
+of the candidates for k = 1, 2, ... . The optimized plan is the contracted
+component with the preferred nodes as seeds and the ordered non-redundant
+nodes as candidates; the naive plan has no seeds and every node as a
+candidate. Paths and cycles need no search. An optimized plan that exhausts
+its candidates is followed by the naive plan, so the answer stays exact.
 
 Levels are strict barriers: size k+1 is only searched once every k-subset
 has failed, which is what makes the reported pdn exact. Within a level,
@@ -13,8 +19,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InternalError, ParameterError
@@ -179,18 +184,13 @@ def subset_counts(
 
 _POLL_MASK = 1023
 
-_W_ADJ = None
-_W_SEEDS = None
-_W_CAND = None
-_W_STOP = None
+# (adj, seeds, cand, stop) of the search a pool worker serves
+_W_PAYLOAD = None
 
 
 def _worker_init(adj, seeds, cand, stop):
-    global _W_ADJ, _W_SEEDS, _W_CAND, _W_STOP
-    _W_ADJ = adj
-    _W_SEEDS = seeds
-    _W_CAND = cand
-    _W_STOP = stop
+    global _W_PAYLOAD
+    _W_PAYLOAD = (adj, seeds, cand, stop)
 
 
 def _scan_range(adj, seeds, cand, k, start, end, first_only, stop=None) -> List[int]:
@@ -213,25 +213,48 @@ def _scan_range(adj, seeds, cand, k, start, end, first_only, stop=None) -> List[
 
 
 def _scan_task(spec):
+    adj, seeds, cand, stop = _W_PAYLOAD
     k, start, end, first_only = spec
-    return _scan_range(_W_ADJ, _W_SEEDS, _W_CAND, k, start, end, first_only, _W_STOP)
+    return _scan_range(adj, seeds, cand, k, start, end, first_only, stop)
 
 
-class _WorkerTeam:
-    """Process pool sharing an immutable search payload and an early-stop
-    flag. Chunk results come back in rank order and only this process
-    raises the flag, so a first-hit scan returns the minimum-rank hit."""
+class _LevelScanner:
+    """Scans levels of k-combinations of candidate positions, each added to
+    the seeds. A level runs in this process unless workers > 1 and it spans
+    more than one chunk. The fork pool is started on first need, shares the
+    immutable payload and an early-stop flag, and is terminated on exit.
+    Chunk results come back in rank order and only this process raises the
+    flag, so a first-hit scan returns the minimum-rank hit."""
 
-    def __init__(self, workers: int, adj, seeds, cand):
-        ctx = multiprocessing.get_context("fork")
-        self._stop = ctx.Value("b", 0, lock=False)
-        self._pool = ctx.Pool(
-            workers,
-            initializer=_worker_init,
-            initargs=(adj, seeds, cand, self._stop),
-        )
+    def __init__(self, adj, seeds, cand, cfg: SolverConfig):
+        self._payload = (adj, seeds, cand)
+        self._m = len(cand)
+        self._cfg = cfg
+        self._pool = None
+        self._stop = None
 
-    def scan_level(self, k: int, total: int, chunk: int, first_only: bool) -> List[int]:
+    def __enter__(self) -> "_LevelScanner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+
+    def scan(self, k: int, first_only: bool) -> List[int]:
+        """Successful ranks of level k, in rank order."""
+        total = math.comb(self._m, k)
+        chunk = self._cfg.chunk_size
+        if not (self._cfg.workers > 1 and total > chunk):
+            return _scan_range(*self._payload, k, 0, total, first_only)
+        if self._pool is None:
+            ctx = multiprocessing.get_context("fork")
+            self._stop = ctx.Value("b", 0, lock=False)
+            self._pool = ctx.Pool(
+                self._cfg.workers,
+                initializer=_worker_init,
+                initargs=(*self._payload, self._stop),
+            )
         self._stop.value = 0
         specs = (
             (k, s, min(s + chunk, total), first_only) for s in range(0, total, chunk)
@@ -243,77 +266,15 @@ class _WorkerTeam:
                 self._stop.value = 1
         return hits[:1] if first_only else hits
 
-    def close(self):
-        self._pool.terminate()
-        self._pool.join()
 
-
-@contextmanager
-def _level_scanner(adj, seeds: Tuple[int, ...], cand: Tuple[int, ...], cfg: SolverConfig):
-    """Yield scan(k, first_only) -> successful ranks of level k. A level runs
-    in this process unless workers > 1 and it spans more than one chunk; the
-    pool is started on first need and stopped on exit."""
-    m = len(cand)
-    team = None
-
-    def scan(k: int, first_only: bool) -> List[int]:
-        nonlocal team
-        total = math.comb(m, k)
-        if cfg.workers > 1 and total > cfg.chunk_size:
-            if team is None:
-                team = _WorkerTeam(cfg.workers, adj, seeds, cand)
-            return team.scan_level(k, total, cfg.chunk_size, first_only)
-        return _scan_range(adj, seeds, cand, k, 0, total, first_only)
-
-    try:
-        yield scan
-    finally:
-        if team is not None:
-            team.close()
-
-
-# -- level search ----------------------------------------------------------
-
-
-@dataclass
-class _LevelSearchOutcome:
-    k: int = 0
-    combo_positions: Optional[List[int]] = None
-    checked: int = 0
-    levels_completed: int = 0
-
-
-def _search_levels(
-    adj,
-    seeds: Tuple[int, ...],
-    cand_idx: Tuple[int, ...],
-    cfg: SolverConfig,
-) -> _LevelSearchOutcome:
-    """Search levels k = 1, 2, ... over the candidate positions, testing
-    seeds + combination. Each level is exhausted before the next begins."""
-    out = _LevelSearchOutcome()
-    m = len(cand_idx)
-    with _level_scanner(adj, seeds, cand_idx, cfg) as scan:
-        for k in range(1, m + 1):
-            hits = scan(k, first_only=True)
-            if hits:
-                out.k = k
-                out.combo_positions = combination_unrank(m, k, hits[0])
-                out.checked += hits[0] + 1
-                return out
-            out.checked += math.comb(m, k)
-            out.levels_completed += 1
-    return out
-
-
-# -- per-component solvers -------------------------------------------------
+# -- component search ------------------------------------------------------
 
 
 @dataclass
 class _ComponentOutcome:
-    pdn: int
-    pds: Tuple[str, ...]
     contracted_n: int
+    pdn: int = 0
+    pds: Tuple[str, ...] = ()
     removed: int = 0
     pref_count: int = 0
     d: int = 0
@@ -324,86 +285,77 @@ class _ComponentOutcome:
     pipeline: Optional[PipelineReport] = None
 
 
-def _solve_trivial_component(sub: Graph) -> _ComponentOutcome:
-    # path or cycle: any single node is a PDS
-    node = min(sub.nodes, key=label_key)
-    return _ComponentOutcome(
-        pdn=1,
-        pds=(node,),
-        contracted_n=sub.node_count,
-        d=sub.node_count,
-    )
-
-
-def _solve_optimized_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
-    if all(len(a) <= 2 for a in sub.adjacency):
-        return _solve_trivial_component(sub)
-    report = contract(sub)
-    cg = report.contracted
-    prep = preferred_nodes(cg)
-    pref_sorted = sorted(prep.pref, key=label_key)
-    cands = candidate_list(cg, prep.pref)
-    cand_labels = [c.node for c in cands]
-    deg3 = [v for v in cg.nodes if cg.degree(v) >= 3]
-    # Candidates are exactly the degree->=3 nodes that are neither preferred
-    # nor redundant, so the redundant ones among the rest are the difference.
-    free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
-    out = _ComponentOutcome(
-        pdn=0,
-        pds=(),
-        contracted_n=cg.node_count,
-        removed=len(report.removed),
-        pref_count=len(prep.pref),
-        d=cg.node_count - len(deg3),
-        r=free_deg3 - len(cands),
-        candidates=len(cands),
-        pipeline=PipelineReport(report, prep, tuple(cands)),
-    )
-    cadj = cg.adjacency
-    seeds = tuple(cg.index_of(v) for v in pref_sorted)
-    if pref_sorted:
+def _search(
+    g: Graph,
+    seeds: Sequence[str],
+    cands: Sequence[str],
+    cfg: SolverConfig,
+    out: _ComponentOutcome,
+) -> bool:
+    """Test the seeds alone, then the seeds plus each k-combination of the
+    candidates for k = 1, 2, ..., exhausting each level before the next.
+    Add the subsets tested and the levels exhausted to out; on success set
+    its pdn and pds (seeds, then the chosen candidates) and return True."""
+    adj = g.adjacency
+    seed_idx = tuple(g.index_of(v) for v in seeds)
+    if seeds:
         out.subsets_checked += 1
-        if observes_all(cadj, seeds):
-            out.pdn = len(pref_sorted)
-            out.pds = tuple(pref_sorted)
+        if observes_all(adj, seed_idx):
+            out.pdn, out.pds = len(seeds), tuple(seeds)
+            return True
+    m = len(cands)
+    cand_idx = tuple(g.index_of(v) for v in cands)
+    with _LevelScanner(adj, seed_idx, cand_idx, cfg) as scanner:
+        for k in range(1, m + 1):
+            hits = scanner.scan(k, first_only=True)
+            if hits:
+                chosen = tuple(cands[p] for p in combination_unrank(m, k, hits[0]))
+                out.subsets_checked += hits[0] + 1
+                out.pdn, out.pds = len(seeds) + k, tuple(seeds) + chosen
+                return True
+            out.subsets_checked += math.comb(m, k)
+            out.levels_completed += 1
+    return False
+
+
+def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
+    n = sub.node_count
+    if cfg.mode == "naive":
+        out = _ComponentOutcome(contracted_n=n, candidates=n)
+    elif all(len(a) <= 2 for a in sub.adjacency):
+        # path or cycle: any single node is a PDS
+        return _ComponentOutcome(
+            contracted_n=n, pdn=1, pds=(min(sub.nodes, key=label_key),), d=n
+        )
+    else:
+        report = contract(sub)
+        cg = report.contracted
+        prep = preferred_nodes(cg)
+        cands = candidate_list(cg, prep.pref)
+        deg3 = [v for v in cg.nodes if cg.degree(v) >= 3]
+        # Candidates are exactly the degree->=3 nodes that are neither preferred
+        # nor redundant, so the redundant ones among the rest are the difference.
+        free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
+        out = _ComponentOutcome(
+            contracted_n=cg.node_count,
+            removed=len(report.removed),
+            pref_count=len(prep.pref),
+            d=cg.node_count - len(deg3),
+            r=free_deg3 - len(cands),
+            candidates=len(cands),
+            pipeline=PipelineReport(report, prep, tuple(cands)),
+        )
+        seeds = sorted(prep.pref, key=label_key)
+        if _search(cg, seeds, [c.node for c in cands], cfg, out):
             return out
-    cand_idx = tuple(cg.index_of(v) for v in cand_labels)
-    level = _search_levels(cadj, seeds, cand_idx, cfg)
-    out.subsets_checked += level.checked
-    out.levels_completed = level.levels_completed
-    if level.combo_positions is not None:
-        chosen = tuple(cand_labels[p] for p in level.combo_positions)
-        out.pdn = len(pref_sorted) + level.k
-        out.pds = tuple(pref_sorted) + chosen
-        return out
-    # Candidate levels exhausted without success. This is outside the
-    # pipeline's structural guarantees; fall back to an unrestricted
-    # enumeration so the answer stays exact, keeping the pre-processing
-    # statistics of the optimized attempt.
-    naive = _solve_naive_component(sub, cfg)
-    return replace(
-        out,
-        pdn=naive.pdn,
-        pds=naive.pds,
-        subsets_checked=out.subsets_checked + naive.subsets_checked,
-        levels_completed=naive.levels_completed,
-    )
-
-
-def _solve_naive_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
-    labels = sorted(sub.nodes, key=label_key)
-    idx = tuple(sub.index_of(v) for v in labels)
-    level = _search_levels(sub.adjacency, (), idx, cfg)
-    if level.combo_positions is None:
+        # Candidate levels exhausted without success. This is outside the
+        # pipeline's structural guarantees; fall back to the naive plan so
+        # the answer stays exact, keeping the pre-processing statistics of
+        # the optimized attempt and adding up the subsets both tested.
+        out.levels_completed = 0
+    if not _search(sub, (), sorted(sub.nodes, key=label_key), cfg, out):
         raise InternalError("exhausted all subsets without finding a PDS")
-    return _ComponentOutcome(
-        pdn=level.k,
-        pds=tuple(labels[p] for p in level.combo_positions),
-        contracted_n=sub.node_count,
-        candidates=sub.node_count,
-        subsets_checked=level.checked,
-        levels_completed=level.levels_completed,
-    )
+    return out
 
 
 # -- public API ------------------------------------------------------------
@@ -416,11 +368,8 @@ def solve(g: Graph, config: Optional[SolverConfig] = None) -> SolveResult:
     union); the empty graph has pdn 0.
     """
     cfg = config or SolverConfig()
-    solve_component = (
-        _solve_naive_component if cfg.mode == "naive" else _solve_optimized_component
-    )
     comps = connected_components(g)
-    outcomes = [solve_component(g.induced(comp), cfg) for comp in comps]
+    outcomes = [_solve_component(g.induced(comp), cfg) for comp in comps]
     pdn = sum(o.pdn for o in outcomes)
     pds: Tuple[str, ...] = tuple(v for o in outcomes for v in o.pds)
     if g.node_count and not is_power_dominating_set(g, pds):
@@ -459,8 +408,8 @@ def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet
     k = solve(g, cfg).pdn
     labels = sorted(g.nodes, key=label_key)
     idx = tuple(g.index_of(v) for v in labels)
-    with _level_scanner(g.adjacency, (), idx, cfg) as scan:
-        hits = scan(k, first_only=False)
+    with _LevelScanner(g.adjacency, (), idx, cfg) as scanner:
+        hits = scanner.scan(k, first_only=False)
     return [
         frozenset(labels[p] for p in combination_unrank(len(labels), k, rank))
         for rank in hits

@@ -209,6 +209,19 @@ class TestConvertCommand:
         assert round_tripped.node_count == zim.node_count
         assert round_tripped.edge_count == zim.edge_count
 
+    def test_isolated_nodes_to_edgelist_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "iso.g6"
+        src.write_text("D?_\n")
+        out_file = tmp_path / "iso.txt"
+        code, out, err = run_cli(capsys, "convert", str(src), "--to", "edgelist",
+                                 "--output", str(out_file))
+        assert code == 2
+        assert "isolated" in err
+        assert not out_file.exists()
+        code, out, err = run_cli(capsys, "convert", str(src), "--to", "edgelist")
+        assert code == 2
+        assert out == ""
+
     def test_builtin_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "convert", "--builtin", "fig3", "--to", "graph6")
         assert code == 0

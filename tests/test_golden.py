@@ -5,13 +5,23 @@ merged into a single scanner and closure kernel; they pin pdn, the exact
 placement, every Diagnostics field and the allminpds enumeration order.
 The force logs were recorded before the closure kernel started keeping
 counters only for observed nodes; they pin the order in which forces fire.
+The small-graph table was recorded before the per-component solvers were
+merged into one seeds-then-levels search; it pins the trivial, naive and
+multi-component paths, including which components kept a pipeline report.
 """
 
 import dataclasses
 
 import pytest
 
-from powerdom import SolverConfig, allminpds, builtin_graph, power_dominate, solve
+from powerdom import (
+    Graph,
+    SolverConfig,
+    allminpds,
+    builtin_graph,
+    power_dominate,
+    solve,
+)
 
 # (name, mode) -> (pdn, pds, Diagnostics fields in declaration order:
 # n_formula, n_prime_formula, p, d, r, candidates, removed_by_contraction,
@@ -75,6 +85,81 @@ FORCE_LOG_GOLDEN = {
 }
 
 
+def _path(prefix, n):
+    labels = [f"{prefix}{i}" for i in range(n)]
+    return labels, list(zip(labels, labels[1:]))
+
+
+def _cycle(prefix, n):
+    labels, edges = _path(prefix, n)
+    return labels, edges + [(labels[-1], labels[0])]
+
+
+def _small_graph(name):
+    if name == "P5":
+        return Graph(*_path("p", 5))
+    if name == "C6":
+        return Graph(*_cycle("c", 6))
+    if name == "K1":
+        return Graph(["x"])
+    if name == "empty":
+        return Graph()
+    # "mixed": zim, P5, C6 and an isolated node as four components
+    zim = builtin_graph("zim")
+    parts = [(zim.nodes, list(zim.edges())), _path("p", 5), _cycle("c", 6), (["x"], [])]
+    return Graph([v for vs, _ in parts for v in vs], [e for _, es in parts for e in es])
+
+
+# (name, mode) -> (pdn, pds, Diagnostics fields as in SOLVE_GOLDEN,
+# per_component as (sorted nodes, pdn, pds), whether each pipeline entry is None)
+SMALL_SOLVE_GOLDEN = {
+    ("P5", "optimized"): (
+        1, ("p0",), (1, 1, 0, 5, 0, 0, 0, 0, 0),
+        ((("p0", "p1", "p2", "p3", "p4"), 1, ("p0",)),), (True,),
+    ),
+    ("P5", "naive"): (
+        1, ("p0",), (1, 1, 0, 0, 0, 5, 0, 1, 0),
+        ((("p0", "p1", "p2", "p3", "p4"), 1, ("p0",)),), (True,),
+    ),
+    ("C6", "optimized"): (
+        1, ("c0",), (1, 1, 0, 6, 0, 0, 0, 0, 0),
+        ((("c0", "c1", "c2", "c3", "c4", "c5"), 1, ("c0",)),), (True,),
+    ),
+    ("C6", "naive"): (
+        1, ("c0",), (1, 1, 0, 0, 0, 6, 0, 1, 0),
+        ((("c0", "c1", "c2", "c3", "c4", "c5"), 1, ("c0",)),), (True,),
+    ),
+    ("K1", "optimized"): (
+        1, ("x",), (1, 1, 0, 1, 0, 0, 0, 0, 0), ((("x",), 1, ("x",)),), (True,),
+    ),
+    ("K1", "naive"): (
+        1, ("x",), (1, 1, 0, 0, 0, 1, 0, 1, 0), ((("x",), 1, ("x",)),), (True,),
+    ),
+    ("empty", "optimized"): (0, (), (0, 0, 0, 0, 0, 0, 0, 0, 0), (), ()),
+    ("empty", "naive"): (0, (), (0, 0, 0, 0, 0, 0, 0, 0, 0), (), ()),
+    ("mixed", "optimized"): (
+        5, ("9", "5", "p0", "c0", "x"), (10903, 8, 1, 18, 1, 3, 0, 2, 0),
+        (
+            (("1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"), 2, ("9", "5")),
+            (("p0", "p1", "p2", "p3", "p4"), 1, ("p0",)),
+            (("c0", "c1", "c2", "c3", "c4", "c5"), 1, ("c0",)),
+            (("x",), 1, ("x",)),
+        ),
+        (False, True, True, True),
+    ),
+    ("mixed", "naive"): (
+        5, ("1", "9", "p0", "c0", "x"), (10903, 10903, 0, 0, 0, 23, 0, 24, 1),
+        (
+            (("1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"), 2, ("1", "9")),
+            (("p0", "p1", "p2", "p3", "p4"), 1, ("p0",)),
+            (("c0", "c1", "c2", "c3", "c4", "c5"), 1, ("c0",)),
+            (("x",), 1, ("x",)),
+        ),
+        (True, True, True, True),
+    ),
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name, mode", sorted(SOLVE_GOLDEN))
 def test_solve_matches_golden(name, mode, workers):
@@ -103,3 +188,14 @@ def test_allminpds_matches_golden(name, workers):
 def test_force_log_matches_golden(name, pmus):
     g = builtin_graph(name)
     assert power_dominate(g, set(pmus)).force_log == FORCE_LOG_GOLDEN[(name, pmus)]
+
+
+@pytest.mark.parametrize("workers, chunk_size", [(1, 4096), (2, 4)])
+@pytest.mark.parametrize("name, mode", sorted(SMALL_SOLVE_GOLDEN))
+def test_small_graph_solve_matches_golden(name, mode, workers, chunk_size):
+    pdn, pds, diag, per_component, no_pipeline = SMALL_SOLVE_GOLDEN[(name, mode)]
+    cfg = SolverConfig(workers=workers, mode=mode, chunk_size=chunk_size)
+    res = solve(_small_graph(name), cfg)
+    assert (res.pdn, res.pds, dataclasses.astuple(res.diagnostics)) == (pdn, pds, diag)
+    assert tuple((tuple(sorted(c)), k, s) for c, k, s in res.per_component) == per_component
+    assert tuple(p is None for p in res.pipeline) == no_pipeline

@@ -51,6 +51,10 @@ class TestGraphBasics:
         assert sub.node_count == 3
         assert sub.edge_count == 3
 
+    def test_induced_on_every_node_is_the_graph_itself(self, zim):
+        assert zim.induced(zim.nodes) is zim
+        assert zim.induced(reversed(zim.nodes)) is zim
+
 
 class TestGraph6:
     def test_k3_decodes_from_hand_encoded_bytes(self):
@@ -130,6 +134,11 @@ class TestEdgeList:
     def test_write_read_round_trip(self, zim):
         back = parse_edge_list(write_edge_list(zim))
         assert back == zim
+
+    def test_isolated_nodes_rejected_on_write(self):
+        # graph6 "D?_": five nodes, one edge 0-4, three isolated nodes
+        with pytest.raises(ParameterError, match="has 3"):
+            write_edge_list(parse_graph6(b"D?_"))
 
 
 class TestBuiltins:

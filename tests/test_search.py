@@ -216,11 +216,12 @@ class TestAllMinPds:
 
 
 class TestFallback:
-    def test_empty_candidate_list_falls_back_to_naive(self, ieee39, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_candidate_list_falls_back_to_naive(self, ieee39, monkeypatch, workers):
         import powerdom.search
 
         monkeypatch.setattr(powerdom.search, "candidate_list", lambda g, pref: [])
-        res = solve(ieee39, SolverConfig(workers=1))
+        res = solve(ieee39, SolverConfig(workers=workers))
         assert res.pdn == 5
         assert is_power_dominating_set(ieee39, res.pds)
         d = res.diagnostics
