@@ -1,10 +1,8 @@
-"""Command-line front end: solve/analyze/enumerate/convert/bench."""
+"""Command-line front end: solve/analyze/enumerate/convert."""
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -12,23 +10,13 @@ import time
 from typing import Optional
 
 from .errors import FormatError, InternalError, ParameterError, PowerDomError
-from .graph import (
-    Graph,
-    erdos_renyi_connected,
-    parse_edge_list,
-    parse_graph6,
-    write_edge_list,
-    write_graph6,
-)
+from .graph import Graph, parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .library import BUILTIN_NAMES, builtin_graph
 from .search import SolverConfig, allminpds, default_workers, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-BENCH_SIZES = (20, 40, 60, 80, 100, 120)
-BENCH_EDGE_PROBABILITY = 0.05
 
 
 def _detect_format(data: bytes) -> str:
@@ -101,6 +89,7 @@ def _result_json(result, timing_ms: float) -> dict:
             "candidates": result.diagnostics.candidates,
             "removed": result.diagnostics.removed_by_contraction,
             "subsets_checked": result.diagnostics.subsets_checked,
+            "levels_completed": result.diagnostics.levels_completed,
         },
         "timing_ms": timing_ms,
     }
@@ -216,7 +205,8 @@ def _cmd_analyze(args) -> int:
         f"pdn: {result.pdn}  pds: {list(result.pds)}\n"
         f"diagnostics: N={d['N']} N'={d['N_prime']} p={d['p']} d={d['d']} "
         f"r={d['r']} candidates={d['candidates']} removed={d['removed']} "
-        f"subsets_checked={d['subsets_checked']}"
+        f"subsets_checked={d['subsets_checked']} "
+        f"levels_completed={d['levels_completed']}"
     )
     return EXIT_OK
 
@@ -232,37 +222,6 @@ def _cmd_convert(args) -> int:
             fh.write(out)
     else:
         sys.stdout.write(out)
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    sizes = args.sizes or list(BENCH_SIZES)
-    modes = args.modes.split(",") if args.modes else ["optimized", "naive"]
-    for mode in modes:
-        if mode not in ("optimized", "naive"):
-            raise ParameterError(f"unknown mode {mode!r}")
-    workers = _resolve_workers(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "seed", "mode", "workers", "pdn", "subsets_checked", "wall_ms"])
-    for n in sizes:
-        for i in range(args.count):
-            seed = args.seed + i
-            g = erdos_renyi_connected(n, BENCH_EDGE_PROBABILITY, seed)
-            for mode in modes:
-                cfg = SolverConfig(workers=workers, mode=mode)
-                start = time.perf_counter()
-                result = solve(g, cfg)
-                ms = (time.perf_counter() - start) * 1000
-                writer.writerow([
-                    n, seed, mode, workers, result.pdn,
-                    result.diagnostics.subsets_checked, f"{ms:.3f}",
-                ])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
     return EXIT_OK
 
 
@@ -311,16 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", choices=["graph6", "edgelist"], required=True)
     p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("bench", help="run a seeded random-graph benchmark, emit CSV")
-    p.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
-                   help="comma-separated node counts (default: 20,40,60,80,100,120)")
-    p.add_argument("--count", type=int, default=3, help="graphs per size (default 3)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--workers", type=int, help="worker count (default: cpus-1)")
-    p.add_argument("--modes", help="comma-separated modes (default optimized,naive)")
-    p.add_argument("--output", help="write CSV to a file instead of stdout")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

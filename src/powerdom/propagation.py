@@ -1,10 +1,11 @@
 """The power domination process: domination step, zero-forcing closure,
 PDS verification, and forcing-chain extraction.
 
-All functions are pure. One index-level kernel, ``_observe``, runs the
-process; it keeps an unobserved-neighbor counter only for observed nodes
-and fills a node's counter when the node becomes observed, so a run costs
-O(n) for its flag array plus the degrees of the nodes it observes, however
+All functions are pure. One index-level domination step, ``_dominate``,
+and one zero-forcing kernel, ``_force_closure``, run the process. The
+kernel keeps an unobserved-neighbor counter only for observed nodes and
+fills a node's counter when the node becomes observed, so a run costs O(n)
+for its flag array plus the degrees of the nodes it observes, however
 little of the graph that is.
 """
 
@@ -95,9 +96,12 @@ def _force_closure(
     return count
 
 
-def _observe(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> Tuple[bytearray, int]:
-    """Run the power domination process from the given seed indices;
-    return the observed flags and the observed count."""
+def _dominate(
+    adj: Sequence[Sequence[int]], seeds: Iterable[int]
+) -> Tuple[bytearray, List[int]]:
+    """Domination step from the given seed indices: flag each seed and its
+    neighbors as observed; return the flags and the flagged indices, each
+    once, in the order flagged."""
     observed = bytearray(len(adj))
     marked = []
     for s in seeds:
@@ -108,45 +112,55 @@ def _observe(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> Tuple[bytear
             if not observed[u]:
                 observed[u] = 1
                 marked.append(u)
-    return observed, _force_closure(adj, observed, marked)
+    return observed, marked
+
+
+def _observe(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bytearray:
+    """Run the power domination process from the given seed indices;
+    return the observed flags."""
+    observed, marked = _dominate(adj, seeds)
+    _force_closure(adj, observed, marked)
+    return observed
 
 
 def observes_all(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bool:
     """Fast check: does the power domination process started from the given
     seed indices observe every node? Index-level hot path for the search."""
-    return _observe(adj, seeds)[1] == len(adj)
+    observed, marked = _dominate(adj, seeds)
+    return _force_closure(adj, observed, marked) == len(adj)
 
 
-def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
-    """Domination step: observe the closed neighborhoods of the PMU nodes."""
-    observed = set()
-    for i in _indices(g, pmus):
-        observed.add(i)
-        observed.update(g.adjacency[i])
-    return ObservationState(
-        frozenset(g.label_at(i) for i in observed), ()
-    )
-
-
-def zero_force(g: Graph, state: ObservationState) -> ObservationState:
-    """Apply the forcing rule to a fixed point, extending the force log."""
-    n = g.node_count
-    observed = bytearray(n)
-    marked = sorted(_indices(g, state.observed))
+def _closed_state(g: Graph, marked: List[int], force_log: tuple) -> ObservationState:
+    """Run the zero-forcing closure from the observed indices in marked (no
+    repeats; forcers queue in this order) and return the result in labels,
+    with the new forces appended to force_log."""
+    observed = bytearray(g.node_count)
     for i in marked:
         observed[i] = 1
     log: list = []
     _force_closure(g.adjacency, observed, marked, log)
-    new_entries = tuple((g.label_at(a), g.label_at(b)) for a, b in log)
     return ObservationState(
-        frozenset(g.label_at(i) for i in range(n) if observed[i]),
-        state.force_log + new_entries,
+        frozenset(g.label_at(i) for i in range(g.node_count) if observed[i]),
+        force_log + tuple((g.label_at(a), g.label_at(b)) for a, b in log),
     )
+
+
+def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
+    """Domination step: observe the closed neighborhoods of the PMU nodes."""
+    _, marked = _dominate(g.adjacency, _indices(g, pmus))
+    return ObservationState(frozenset(g.label_at(i) for i in marked), ())
+
+
+def zero_force(g: Graph, state: ObservationState) -> ObservationState:
+    """Apply the forcing rule to a fixed point, extending the force log."""
+    return _closed_state(g, sorted(_indices(g, state.observed)), state.force_log)
 
 
 def power_dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
     """Full process: domination step followed by the zero-forcing closure."""
-    return zero_force(g, dominate(g, pmus))
+    _, marked = _dominate(g.adjacency, _indices(g, pmus))
+    # sorted so forcers queue in index order, as in zero_force(g, dominate(g, pmus))
+    return _closed_state(g, sorted(marked), ())
 
 
 def is_power_dominating_set(g: Graph, pmus: Iterable[str]) -> bool:

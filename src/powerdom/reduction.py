@@ -44,10 +44,10 @@ class ScoredCandidate:
     """Node with its search-ordering score.
 
     The score is degree plus a fraction in [0, 1) that grows with distance
-    from the preferred set, so comparing candidates is identical to
-    comparing (degree, pref_distance) lexicographically. pref_distance None
-    means unreachable (or no preferred nodes), which sorts above every
-    finite distance of the same degree.
+    from the preferred set, so ordering candidates by score is the same as
+    ordering them by sort_key(), (degree, pref_distance) lexicographically.
+    pref_distance None means unreachable (or no preferred nodes), which
+    sorts above every finite distance of the same degree.
     """
 
     node: str
@@ -63,9 +63,6 @@ class ScoredCandidate:
     def sort_key(self):
         d = float("inf") if self.pref_distance is None else self.pref_distance
         return (self.degree, d)
-
-    def __lt__(self, other: "ScoredCandidate"):
-        return self.sort_key() < other.sort_key()
 
 
 # -- contraction -----------------------------------------------------------
@@ -179,7 +176,7 @@ def preferred_nodes(g: Graph) -> PreferredReport:
     witness_comps: Dict[str, List[FrozenSet[str]]] = {}
     for v in sorted(articulation_points(g), key=label_key):
         vi = g.index_of(v)
-        observed, _ = _observe(adj, [vi])
+        observed = _observe(adj, [vi])
         # Every neighbor of v is observed by the domination step and v never
         # forces, so a component of g - v is fully observed iff the observed
         # nodes reached from a neighbor have no unobserved neighbor.
@@ -222,7 +219,7 @@ def redundant_nodes(g: Graph, pref: Iterable[str]) -> FrozenSet[str]:
     """Nodes whose closed neighborhood is entirely observed after running
     the process on the preferred set."""
     adj = g.adjacency
-    observed, _ = _observe(adj, {g.index_of(v) for v in pref})
+    observed = _observe(adj, {g.index_of(v) for v in pref})
     return frozenset(
         g.label_at(i)
         for i in range(g.node_count)

@@ -57,13 +57,10 @@ def default_workers() -> int:
 class SolverConfig:
     workers: int = 1
     mode: str = "optimized"  # "optimized" | "naive"
-    chunk_size: int = 4096
 
     def __post_init__(self):
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
-        if self.chunk_size < 1:
-            raise ParameterError("chunk_size must be >= 1")
         if self.mode not in ("optimized", "naive"):
             raise ParameterError(f"unknown mode {self.mode!r}")
 
@@ -184,6 +181,9 @@ def subset_counts(
 
 _POLL_MASK = 1023
 
+# ranks per pool task; a level of at most one chunk is scanned in-process
+_CHUNK = 4096
+
 # (adj, seeds, cand, stop) of the search a pool worker serves
 _W_PAYLOAD = None
 
@@ -226,10 +226,10 @@ class _LevelScanner:
     Chunk results come back in rank order and only this process raises the
     flag, so a first-hit scan returns the minimum-rank hit."""
 
-    def __init__(self, adj, seeds, cand, cfg: SolverConfig):
+    def __init__(self, adj, seeds, cand, workers: int):
         self._payload = (adj, seeds, cand)
         self._m = len(cand)
-        self._cfg = cfg
+        self._workers = workers
         self._pool = None
         self._stop = None
 
@@ -244,20 +244,19 @@ class _LevelScanner:
     def scan(self, k: int, first_only: bool) -> List[int]:
         """Successful ranks of level k, in rank order."""
         total = math.comb(self._m, k)
-        chunk = self._cfg.chunk_size
-        if not (self._cfg.workers > 1 and total > chunk):
+        if not (self._workers > 1 and total > _CHUNK):
             return _scan_range(*self._payload, k, 0, total, first_only)
         if self._pool is None:
             ctx = multiprocessing.get_context("fork")
             self._stop = ctx.Value("b", 0, lock=False)
             self._pool = ctx.Pool(
-                self._cfg.workers,
+                self._workers,
                 initializer=_worker_init,
                 initargs=(*self._payload, self._stop),
             )
         self._stop.value = 0
         specs = (
-            (k, s, min(s + chunk, total), first_only) for s in range(0, total, chunk)
+            (k, s, min(s + _CHUNK, total), first_only) for s in range(0, total, _CHUNK)
         )
         hits: List[int] = []
         for chunk_hits in self._pool.imap(_scan_task, specs):
@@ -289,7 +288,7 @@ def _search(
     g: Graph,
     seeds: Sequence[str],
     cands: Sequence[str],
-    cfg: SolverConfig,
+    workers: int,
     out: _ComponentOutcome,
 ) -> bool:
     """Test the seeds alone, then the seeds plus each k-combination of the
@@ -305,7 +304,7 @@ def _search(
             return True
     m = len(cands)
     cand_idx = tuple(g.index_of(v) for v in cands)
-    with _LevelScanner(adj, seed_idx, cand_idx, cfg) as scanner:
+    with _LevelScanner(adj, seed_idx, cand_idx, workers) as scanner:
         for k in range(1, m + 1):
             hits = scanner.scan(k, first_only=True)
             if hits:
@@ -346,14 +345,14 @@ def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
             pipeline=PipelineReport(report, prep, tuple(cands)),
         )
         seeds = sorted(prep.pref, key=label_key)
-        if _search(cg, seeds, [c.node for c in cands], cfg, out):
+        if _search(cg, seeds, [c.node for c in cands], cfg.workers, out):
             return out
         # Candidate levels exhausted without success. This is outside the
         # pipeline's structural guarantees; fall back to the naive plan so
         # the answer stays exact, keeping the pre-processing statistics of
         # the optimized attempt and adding up the subsets both tested.
         out.levels_completed = 0
-    if not _search(sub, (), sorted(sub.nodes, key=label_key), cfg, out):
+    if not _search(sub, (), sorted(sub.nodes, key=label_key), cfg.workers, out):
         raise InternalError("exhausted all subsets without finding a PDS")
     return out
 
@@ -408,7 +407,7 @@ def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet
     k = solve(g, cfg).pdn
     labels = sorted(g.nodes, key=label_key)
     idx = tuple(g.index_of(v) for v in labels)
-    with _LevelScanner(g.adjacency, (), idx, cfg) as scanner:
+    with _LevelScanner(g.adjacency, (), idx, cfg.workers) as scanner:
         hits = scanner.scan(k, first_only=False)
     return [
         frozenset(labels[p] for p in combination_unrank(len(labels), k, rank))

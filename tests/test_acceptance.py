@@ -227,12 +227,15 @@ def test_criterion_7_property_suites():
     report(7, "all property suites hold")
 
 
-def test_criterion_8_parallel_determinism():
+def test_criterion_8_parallel_determinism(monkeypatch):
+    import powerdom.search
+
+    monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
     graphs = [builtin_graph("zim"), builtin_graph("ieee39")]
     graphs += [erdos_renyi_connected(30, 0.12, seed) for seed in range(20)]
     for g in graphs:
         results = [
-            solve(g, SolverConfig(workers=w, chunk_size=64))
+            solve(g, SolverConfig(workers=w))
             for w in (1, 2, 8)
         ]
         signatures = {

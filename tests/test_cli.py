@@ -62,6 +62,24 @@ class TestPdnCommand:
         assert "error" in err
 
 
+class TestDiagnosticsOutput:
+    @pytest.mark.parametrize("command", ["pdn", "minpds", "analyze"])
+    def test_json_has_every_diagnostics_field(self, capsys, command):
+        code, out, _ = run_cli(
+            capsys, command, "--builtin", "ieee39", "--workers", "1", "--json"
+        )
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert len(diag) == 9
+        assert diag["subsets_checked"] == 14
+        assert diag["levels_completed"] == 1
+
+    def test_analyze_text_reports_levels_completed(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--builtin", "ieee39", "--workers", "1")
+        assert code == 0
+        assert "subsets_checked=14 levels_completed=1" in out
+
+
 class TestMinPdsCommand:
     def test_zim_placement(self, capsys, zim):
         code, out, _ = run_cli(capsys, "minpds", "--builtin", "zim", "--workers", "1")
@@ -231,35 +249,12 @@ class TestConvertCommand:
         assert parse_graph6(out.strip().encode()).node_count == 5
 
 
-class TestBenchCommand:
-    def test_csv_shape(self, capsys, tmp_path):
-        out_file = tmp_path / "bench.csv"
-        code, _, _ = run_cli(
-            capsys, "bench", "--sizes", "12,16", "--count", "2", "--seed", "7",
-            "--workers", "1", "--output", str(out_file),
-        )
-        assert code == 0
-        lines = out_file.read_text().strip().splitlines()
-        assert lines[0] == "n,seed,mode,workers,pdn,subsets_checked,wall_ms"
-        # 2 sizes x 2 graphs x 2 modes
-        assert len(lines) == 1 + 8
-        rows = [line.split(",") for line in lines[1:]]
-        assert {r[2] for r in rows} == {"optimized", "naive"}
-        for r in rows:
-            assert int(r[4]) >= 1
-
-    def test_single_mode(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--sizes", "10", "--count", "1",
-            "--modes", "optimized", "--workers", "1",
-        )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 2
-
-    def test_unknown_mode_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--sizes", "10", "--modes", "turbo")
-        assert code == 2
-        assert "turbo" in err
+def test_bench_is_not_a_command(capsys):
+    # benchmarking lives in bench/run.py
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFormatOverride:

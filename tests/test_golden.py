@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+import powerdom.search
 from powerdom import (
     Graph,
     SolverConfig,
@@ -171,16 +172,18 @@ def test_solve_matches_golden(name, mode, workers):
 
 
 @pytest.mark.parametrize("name", ["zim", "fig3", "tadpole", "mutated_zim", "ieee39"])
-def test_pool_driven_solve_matches_golden(name):
+def test_pool_driven_solve_matches_golden(name, monkeypatch):
+    monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
     pdn, pds, diag = SOLVE_GOLDEN[(name, "optimized")]
-    res = solve(builtin_graph(name), SolverConfig(workers=2, chunk_size=4))
+    res = solve(builtin_graph(name), SolverConfig(workers=2))
     assert (res.pdn, res.pds, dataclasses.astuple(res.diagnostics)) == (pdn, pds, diag)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(ALLMINPDS_GOLDEN))
-def test_allminpds_matches_golden(name, workers):
-    sets = allminpds(builtin_graph(name), SolverConfig(workers=workers, chunk_size=4))
+def test_allminpds_matches_golden(name, workers, monkeypatch):
+    monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+    sets = allminpds(builtin_graph(name), SolverConfig(workers=workers))
     assert [sorted(s) for s in sets] == ALLMINPDS_GOLDEN[name]
 
 
@@ -190,12 +193,12 @@ def test_force_log_matches_golden(name, pmus):
     assert power_dominate(g, set(pmus)).force_log == FORCE_LOG_GOLDEN[(name, pmus)]
 
 
-@pytest.mark.parametrize("workers, chunk_size", [(1, 4096), (2, 4)])
+@pytest.mark.parametrize("workers, chunk", [(1, 4096), (2, 4)])
 @pytest.mark.parametrize("name, mode", sorted(SMALL_SOLVE_GOLDEN))
-def test_small_graph_solve_matches_golden(name, mode, workers, chunk_size):
+def test_small_graph_solve_matches_golden(name, mode, workers, chunk, monkeypatch):
+    monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
     pdn, pds, diag, per_component, no_pipeline = SMALL_SOLVE_GOLDEN[(name, mode)]
-    cfg = SolverConfig(workers=workers, mode=mode, chunk_size=chunk_size)
-    res = solve(_small_graph(name), cfg)
+    res = solve(_small_graph(name), SolverConfig(workers=workers, mode=mode))
     assert (res.pdn, res.pds, dataclasses.astuple(res.diagnostics)) == (pdn, pds, diag)
     assert tuple((tuple(sorted(c)), k, s) for c, k, s in res.per_component) == per_component
     assert tuple(p is None for p in res.pipeline) == no_pipeline

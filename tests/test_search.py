@@ -1,7 +1,9 @@
 import itertools
+import multiprocessing
 
 import pytest
 
+import powerdom.search
 from powerdom import (
     Graph,
     ParameterError,
@@ -161,19 +163,18 @@ class TestSolve:
         with pytest.raises(ParameterError):
             SolverConfig(workers=0)
         with pytest.raises(ParameterError):
-            SolverConfig(chunk_size=0)
-        with pytest.raises(ParameterError):
             SolverConfig(mode="fast")
 
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize("builtin", ["zim", "ieee39"])
-    def test_builtin_graphs(self, builtin):
+    def test_builtin_graphs(self, builtin, monkeypatch):
         from powerdom import builtin_graph
 
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
         g = builtin_graph(builtin)
         outputs = {
-            w: solve(g, SolverConfig(workers=w, chunk_size=4))
+            w: solve(g, SolverConfig(workers=w))
             for w in (1, 2, 8)
         }
         base = outputs[1]
@@ -182,12 +183,11 @@ class TestParallelDeterminism:
             assert res.pds == base.pds
             assert res.diagnostics.subsets_checked == base.diagnostics.subsets_checked
 
-    def test_random_graphs(self):
+    def test_random_graphs(self, monkeypatch):
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 8)
         for seed in range(5):
             g = erdos_renyi_connected(30, 0.15, seed)
-            results = [
-                solve(g, SolverConfig(workers=w, chunk_size=8)) for w in (1, 2, 8)
-            ]
+            results = [solve(g, SolverConfig(workers=w)) for w in (1, 2, 8)]
             assert len({(r.pdn, r.pds, r.diagnostics.subsets_checked) for r in results}) == 1
 
 
@@ -209,10 +209,47 @@ class TestAllMinPds:
         with pytest.raises(ParameterError):
             allminpds(Graph())
 
-    def test_worker_count_does_not_change_output(self, zim):
-        a = allminpds(zim, SolverConfig(workers=1, chunk_size=4))
-        b = allminpds(zim, SolverConfig(workers=8, chunk_size=4))
+    def test_worker_count_does_not_change_output(self, zim, monkeypatch):
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        a = allminpds(zim, SolverConfig(workers=1))
+        b = allminpds(zim, SolverConfig(workers=8))
         assert a == b
+
+
+class TestPoolDecision:
+    """A level is scanned through the fork pool only when workers > 1 and
+    it spans more than one chunk of ranks."""
+
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        started = []
+        real = multiprocessing.get_context
+
+        def spy(method=None):
+            started.append(method)
+            return real(method)
+
+        monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spy)
+        return started
+
+    def scan(self, g, k, workers):
+        idx = tuple(range(g.node_count))
+        with powerdom.search._LevelScanner(g.adjacency, (), idx, workers) as scanner:
+            return scanner.scan(k, first_only=False)
+
+    @pytest.mark.parametrize("chunk", [55, 4096])
+    def test_level_within_one_chunk_stays_in_process(self, zim, contexts, monkeypatch, chunk):
+        # level 2 of zim's 11 nodes has C(11, 2) = 55 ranks
+        monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
+        assert self.scan(zim, 2, workers=2) == self.scan(zim, 2, workers=1)
+        assert contexts == []
+
+    def test_level_over_several_chunks_starts_the_pool(self, zim, contexts, monkeypatch):
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        hits = self.scan(zim, 2, workers=2)
+        assert contexts == ["fork"]
+        assert len(hits) == 13
+        assert hits == self.scan(zim, 2, workers=1)
 
 
 class TestFallback:
