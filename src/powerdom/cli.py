@@ -32,9 +32,11 @@ def _detect_format(data: bytes) -> str:
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "builtin", None):
+    if args.builtin and args.input:
+        raise ParameterError("provide an input file or --builtin NAME, not both")
+    if args.builtin:
         return builtin_graph(args.builtin)
-    if not getattr(args, "input", None):
+    if not args.input:
         raise ParameterError("provide an input file or --builtin NAME")
     with open(args.input, "rb") as fh:
         data = fh.read()

@@ -10,12 +10,14 @@ its candidates is followed by the naive plan, so the answer stays exact.
 
 Levels are strict barriers: size k+1 is only searched once every k-subset
 has failed, which is what makes the reported pdn exact. Within a level,
-workers scan contiguous chunks of combination ranks and return their hits
-in rank order, so the minimum-rank success wins at any worker count.
+pool tasks scan blocks of combinations with common leading candidates and
+return hits in rank order, so the minimum-rank success wins at any worker
+count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -59,6 +61,8 @@ class SolverConfig:
     mode: str = "optimized"  # "optimized" | "naive"
 
     def __post_init__(self):
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+            raise ParameterError(f"workers must be an int, not {self.workers!r}")
         if self.workers < 1:
             raise ParameterError("workers must be >= 1")
         if self.mode not in ("optimized", "naive"):
@@ -129,24 +133,10 @@ def combination_rank(n: int, combo: Sequence[int]) -> int:
     for picked, v in enumerate(combo):
         if not prev < v < n:
             raise ParameterError("combination must be strictly increasing in range")
-        for w in range(prev + 1, v):
-            rank += math.comb(n - 1 - w, k - 1 - picked)
+        # the combinations that pick a value in (prev, v) here come first
+        rank += math.comb(n - 1 - prev, k - picked) - math.comb(n - v, k - picked)
         prev = v
     return rank
-
-
-def _next_combination(combo: List[int], n: int) -> bool:
-    """Advance to the lexicographic successor in place; False at the end."""
-    k = len(combo)
-    i = k - 1
-    while i >= 0 and combo[i] == n - k + i:
-        i -= 1
-    if i < 0:
-        return False
-    combo[i] += 1
-    for j in range(i + 1, k):
-        combo[j] = combo[j - 1] + 1
-    return True
 
 
 def subset_counts(
@@ -177,11 +167,11 @@ def subset_counts(
     return n_naive, n_reduced
 
 
-# -- chunk scanning ----------------------------------------------------------
+# -- level scanning ----------------------------------------------------------
 
 _POLL_MASK = 1023
 
-# ranks per pool task; a level of at most one chunk is scanned in-process
+# the most ranks in one pool task; a level of at most this many runs in-process
 _CHUNK = 4096
 
 # (adj, seeds, cand, stop) of the search a pool worker serves
@@ -193,37 +183,56 @@ def _worker_init(adj, seeds, cand, stop):
     _W_PAYLOAD = (adj, seeds, cand, stop)
 
 
-def _scan_range(adj, seeds, cand, k, start, end, first_only, stop=None) -> List[int]:
-    """Test ranks [start, end) of k-combinations of candidate positions,
-    each added to the seeds; return the successful ranks in order, stopping
-    at the first when first_only. A raised stop flag, polled every 1024
-    ranks, ends the scan early."""
-    m = len(cand)
-    combo = combination_unrank(m, k, start)
+def _scan_range(adj, seeds, cand, k, head, lo, hi, first_only, stop=None) -> List[int]:
+    """Test the k-combinations of candidate positions that begin with head
+    and then a position in [lo, hi), each added to the seeds; return the
+    successful ranks in order, only the first when first_only. A raised stop
+    flag, polled at the start and every 1024 ranks, ends the scan early."""
+    d = k - len(head)
+    start = rank = combination_rank(len(cand), head + tuple(range(lo, lo + d)))
+    front = seeds + tuple(cand[p] for p in head)
     hits = []
-    for rank in range(start, end):
-        if stop is not None and (rank - start) & _POLL_MASK == 0 and stop.value:
-            break
-        if observes_all(adj, seeds + tuple(cand[p] for p in combo)):
-            hits.append(rank)
-            if first_only:
-                break
-        _next_combination(combo, m)
+    for i in range(lo, hi):
+        for tail in itertools.combinations(cand[i + 1 :], d - 1):
+            if stop is not None and (rank - start) & _POLL_MASK == 0 and stop.value:
+                return hits
+            if observes_all(adj, front + (cand[i],) + tail):
+                hits.append(rank)
+                if first_only:
+                    return hits
+            rank += 1
     return hits
+
+
+def _blocks(m: int, k: int, head: Tuple[int, ...] = (), i: int = 0):
+    """(head, lo, hi) pool tasks that cover, in rank order, the level's
+    combinations that extend head by positions from i on; each has at most
+    _CHUNK ranks."""
+    d = k - len(head)
+    while i + d <= m:
+        j = i + 1
+        if math.comb(m - 1 - i, d - 1) > _CHUNK:
+            yield from _blocks(m, k, head + (i,), j)
+        else:
+            # widen [i, j) while [i, j + 1) holds at most _CHUNK ranks
+            rest = math.comb(m - i, d) - _CHUNK
+            while j + d <= m and math.comb(m - 1 - j, d) >= rest:
+                j += 1
+            yield head, i, j
+        i = j
 
 
 def _scan_task(spec):
     adj, seeds, cand, stop = _W_PAYLOAD
-    k, start, end, first_only = spec
-    return _scan_range(adj, seeds, cand, k, start, end, first_only, stop)
+    return _scan_range(adj, seeds, cand, *spec, stop)
 
 
 class _LevelScanner:
     """Scans levels of k-combinations of candidate positions, each added to
-    the seeds. A level runs in this process unless workers > 1 and it spans
-    more than one chunk. The fork pool is started on first need, shares the
-    immutable payload and an early-stop flag, and is terminated on exit.
-    Chunk results come back in rank order and only this process raises the
+    the seeds: in this process, or as _blocks on a fork pool when workers > 1
+    and the level has more than _CHUNK ranks. The pool is started on first
+    need, shares the payload and an early-stop flag, and is terminated on
+    exit. Blocks come back in rank order and only this process raises the
     flag, so a first-hit scan returns the minimum-rank hit."""
 
     def __init__(self, adj, seeds, cand, workers: int):
@@ -243,9 +252,8 @@ class _LevelScanner:
 
     def scan(self, k: int, first_only: bool) -> List[int]:
         """Successful ranks of level k, in rank order."""
-        total = math.comb(self._m, k)
-        if not (self._workers > 1 and total > _CHUNK):
-            return _scan_range(*self._payload, k, 0, total, first_only)
+        if not (self._workers > 1 and math.comb(self._m, k) > _CHUNK):
+            return _scan_range(*self._payload, k, (), 0, self._m - k + 1, first_only)
         if self._pool is None:
             ctx = multiprocessing.get_context("fork")
             self._stop = ctx.Value("b", 0, lock=False)
@@ -255,12 +263,10 @@ class _LevelScanner:
                 initargs=(*self._payload, self._stop),
             )
         self._stop.value = 0
-        specs = (
-            (k, s, min(s + _CHUNK, total), first_only) for s in range(0, total, _CHUNK)
-        )
+        specs = ((k, *block, first_only) for block in _blocks(self._m, k))
         hits: List[int] = []
-        for chunk_hits in self._pool.imap(_scan_task, specs):
-            hits.extend(chunk_hits)
+        for block_hits in self._pool.imap(_scan_task, specs):
+            hits.extend(block_hits)
             if first_only and hits:
                 self._stop.value = 1
         return hits[:1] if first_only else hits

@@ -56,6 +56,14 @@ class TestPdnCommand:
         assert code == 2
         assert "error" in err
 
+    def test_input_file_with_builtin_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(builtin_graph("fig3")))
+        code, out, err = run_cli(capsys, "pdn", "--builtin", "zim", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
     def test_no_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pdn")
         assert code == 2

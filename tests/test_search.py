@@ -1,5 +1,8 @@
 import itertools
+import math
 import multiprocessing
+import random
+import types
 
 import pytest
 
@@ -16,6 +19,9 @@ from powerdom import (
     solve,
     subset_counts,
 )
+
+from powerdom.propagation import observes_all
+from powerdom.search import _blocks, _scan_range
 
 from oracles import oracle_pdn, random_graph
 
@@ -164,6 +170,9 @@ class TestSolve:
             SolverConfig(workers=0)
         with pytest.raises(ParameterError):
             SolverConfig(mode="fast")
+        for workers in (2.5, True, "2"):
+            with pytest.raises(ParameterError):
+                SolverConfig(workers=workers)
 
 
 class TestParallelDeterminism:
@@ -218,7 +227,7 @@ class TestAllMinPds:
 
 class TestPoolDecision:
     """A level is scanned through the fork pool only when workers > 1 and
-    it spans more than one chunk of ranks."""
+    it has more than `_CHUNK` ranks."""
 
     @pytest.fixture
     def contexts(self, monkeypatch):
@@ -250,6 +259,54 @@ class TestPoolDecision:
         assert contexts == ["fork"]
         assert len(hits) == 13
         assert hits == self.scan(zim, 2, workers=1)
+
+
+class TestScanRange:
+    """Each block of a level starts at the rank that itertools.combinations
+    gives its first combination, and _blocks covers a level in rank order
+    with blocks of at most _CHUNK ranks."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_blocks_match_plain_enumeration(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        g = random_graph(seed, rng.randint(7, 12), 0.3)
+        adj = g.adjacency
+        order = list(range(g.node_count))
+        rng.shuffle(order)
+        split = rng.randint(0, 2)
+        seeds, cand = tuple(order[:split]), tuple(order[split:])
+        m = len(cand)
+        raised = types.SimpleNamespace(value=1)
+
+        def scan(k, blocks, first_only=False, stop=None):
+            return [
+                r
+                for head, lo, hi in blocks
+                for r in _scan_range(
+                    adj, seeds, cand, k, head, lo, hi, first_only, stop
+                )
+            ]
+
+        for k in (1, 2, 3):
+            expected = [
+                r
+                for r, c in enumerate(itertools.combinations(cand, k))
+                if observes_all(adj, seeds + c)
+            ]
+            whole = [((), 0, m - k + 1)]
+            firsts = [((), i, i + 1) for i in range(m - k + 1)]
+            assert scan(k, whole) == scan(k, firsts) == expected
+            assert scan(k, whole, first_only=True) == expected[:1]
+            for chunk in (1, 4):
+                monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
+                blocks = list(_blocks(m, k))
+                sizes = [
+                    math.comb(m - lo, k - len(h)) - math.comb(m - hi, k - len(h))
+                    for h, lo, hi in blocks
+                ]
+                assert max(sizes) <= chunk and sum(sizes) == math.comb(m, k)
+                assert scan(k, blocks) == expected
+                assert scan(k, blocks, stop=raised) == []
 
 
 class TestFallback:
