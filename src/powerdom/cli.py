@@ -46,7 +46,7 @@ def _load_graph(args) -> Graph:
     if fmt == "graph6":
         return parse_graph6(data)
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise FormatError("edge-list input is not valid UTF-8") from None
     return parse_edge_list(text)

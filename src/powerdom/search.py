@@ -51,7 +51,9 @@ __all__ = [
 
 
 def default_workers() -> int:
-    """Available processors less one, floor 1."""
+    """The processors this process may run on less one, floor 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)) - 1, 1)
     return max((os.cpu_count() or 2) - 1, 1)
 
 
@@ -169,33 +171,28 @@ def subset_counts(
 
 # -- level scanning ----------------------------------------------------------
 
-_POLL_MASK = 1023
-
 # the most ranks in one pool task; a level of at most this many runs in-process
 _CHUNK = 4096
 
-# (adj, seeds, cand, stop) of the search a pool worker serves
+# (adj, seeds, cand) of the search a pool worker serves
 _W_PAYLOAD = None
 
 
-def _worker_init(adj, seeds, cand, stop):
+def _worker_init(adj, seeds, cand):
     global _W_PAYLOAD
-    _W_PAYLOAD = (adj, seeds, cand, stop)
+    _W_PAYLOAD = (adj, seeds, cand)
 
 
-def _scan_range(adj, seeds, cand, k, head, lo, hi, first_only, stop=None) -> List[int]:
+def _scan_range(adj, seeds, cand, k, head, lo, hi, first_only) -> List[int]:
     """Test the k-combinations of candidate positions that begin with head
     and then a position in [lo, hi), each added to the seeds; return the
-    successful ranks in order, only the first when first_only. A raised stop
-    flag, polled at the start and every 1024 ranks, ends the scan early."""
+    successful ranks in order, only the first when first_only."""
     d = k - len(head)
-    start = rank = combination_rank(len(cand), head + tuple(range(lo, lo + d)))
+    rank = combination_rank(len(cand), head + tuple(range(lo, lo + d)))
     front = seeds + tuple(cand[p] for p in head)
     hits = []
     for i in range(lo, hi):
         for tail in itertools.combinations(cand[i + 1 :], d - 1):
-            if stop is not None and (rank - start) & _POLL_MASK == 0 and stop.value:
-                return hits
             if observes_all(adj, front + (cand[i],) + tail):
                 hits.append(rank)
                 if first_only:
@@ -223,24 +220,22 @@ def _blocks(m: int, k: int, head: Tuple[int, ...] = (), i: int = 0):
 
 
 def _scan_task(spec):
-    adj, seeds, cand, stop = _W_PAYLOAD
-    return _scan_range(adj, seeds, cand, *spec, stop)
+    return _scan_range(*_W_PAYLOAD, *spec)
 
 
 class _LevelScanner:
     """Scans levels of k-combinations of candidate positions, each added to
     the seeds: in this process, or as _blocks on a fork pool when workers > 1
     and the level has more than _CHUNK ranks. The pool is started on first
-    need, shares the payload and an early-stop flag, and is terminated on
-    exit. Blocks come back in rank order and only this process raises the
-    flag, so a first-hit scan returns the minimum-rank hit."""
+    need with the payload and lives for one search: a first-hit scan returns
+    the first block with a hit, which is the minimum-rank hit since blocks
+    come back in rank order, and exit terminates the blocks still running."""
 
     def __init__(self, adj, seeds, cand, workers: int):
         self._payload = (adj, seeds, cand)
         self._m = len(cand)
         self._workers = workers
         self._pool = None
-        self._stop = None
 
     def __enter__(self) -> "_LevelScanner":
         return self
@@ -255,21 +250,16 @@ class _LevelScanner:
         if not (self._workers > 1 and math.comb(self._m, k) > _CHUNK):
             return _scan_range(*self._payload, k, (), 0, self._m - k + 1, first_only)
         if self._pool is None:
-            ctx = multiprocessing.get_context("fork")
-            self._stop = ctx.Value("b", 0, lock=False)
-            self._pool = ctx.Pool(
-                self._workers,
-                initializer=_worker_init,
-                initargs=(*self._payload, self._stop),
+            self._pool = multiprocessing.get_context("fork").Pool(
+                self._workers, initializer=_worker_init, initargs=self._payload
             )
-        self._stop.value = 0
         specs = ((k, *block, first_only) for block in _blocks(self._m, k))
         hits: List[int] = []
         for block_hits in self._pool.imap(_scan_task, specs):
+            if first_only and block_hits:
+                return block_hits
             hits.extend(block_hits)
-            if first_only and hits:
-                self._stop.value = 1
-        return hits[:1] if first_only else hits
+        return hits
 
 
 # -- component search ------------------------------------------------------

@@ -37,6 +37,13 @@ class TestPdnCommand:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_edge_list_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1 2\n2 3\n3 1\n")
+        code, out, _ = run_cli(capsys, "pdn", str(path), "--workers", "1", "--json")
+        assert code == 0
+        assert [c["nodes"] for c in json.loads(out)["components"]] == [["1", "2", "3"]]
+
     def test_graph6_autodetect(self, capsys, tmp_path):
         path = tmp_path / "k3.g6"
         path.write_bytes(b"Bw\n")

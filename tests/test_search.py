@@ -1,8 +1,8 @@
 import itertools
 import math
 import multiprocessing
+import os
 import random
-import types
 
 import pytest
 
@@ -14,6 +14,7 @@ from powerdom import (
     allminpds,
     combination_rank,
     combination_unrank,
+    default_workers,
     erdos_renyi_connected,
     is_power_dominating_set,
     solve,
@@ -175,6 +176,18 @@ class TestSolve:
                 SolverConfig(workers=workers)
 
 
+class TestDefaultWorkers:
+    def test_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_workers() == 1
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert default_workers() == 3
+
+
 class TestParallelDeterminism:
     @pytest.mark.parametrize("builtin", ["zim", "ieee39"])
     def test_builtin_graphs(self, builtin, monkeypatch):
@@ -241,10 +254,10 @@ class TestPoolDecision:
         monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spy)
         return started
 
-    def scan(self, g, k, workers):
+    def scan(self, g, k, workers, first_only=False):
         idx = tuple(range(g.node_count))
         with powerdom.search._LevelScanner(g.adjacency, (), idx, workers) as scanner:
-            return scanner.scan(k, first_only=False)
+            return scanner.scan(k, first_only)
 
     @pytest.mark.parametrize("chunk", [55, 4096])
     def test_level_within_one_chunk_stays_in_process(self, zim, contexts, monkeypatch, chunk):
@@ -253,12 +266,35 @@ class TestPoolDecision:
         assert self.scan(zim, 2, workers=2) == self.scan(zim, 2, workers=1)
         assert contexts == []
 
-    def test_level_over_several_chunks_starts_the_pool(self, zim, contexts, monkeypatch):
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_level_over_several_chunks_starts_the_pool(
+        self, zim, contexts, monkeypatch, first_only
+    ):
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
-        hits = self.scan(zim, 2, workers=2)
+        hits = self.scan(zim, 2, workers=2, first_only=first_only)
         assert contexts == ["fork"]
-        assert len(hits) == 13
-        assert hits == self.scan(zim, 2, workers=1)
+        expected = self.scan(zim, 2, workers=1)
+        assert len(expected) == 13
+        assert hits == (expected[:1] if first_only else expected)
+
+    def test_first_hit_pooled_solve_leaves_no_worker(self, ieee39, monkeypatch):
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        assert solve(ieee39, SolverConfig(workers=2, mode="naive")).pdn == 5
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, ieee39, monkeypatch):
+        parent = os.getpid()
+
+        def failing(adj, nodes):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failed")
+            return observes_all(adj, nodes)
+
+        monkeypatch.setattr(powerdom.search, "observes_all", failing)
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            solve(ieee39, SolverConfig(workers=2, mode="naive"))
+        assert multiprocessing.active_children() == []
 
 
 class TestScanRange:
@@ -276,15 +312,12 @@ class TestScanRange:
         split = rng.randint(0, 2)
         seeds, cand = tuple(order[:split]), tuple(order[split:])
         m = len(cand)
-        raised = types.SimpleNamespace(value=1)
 
-        def scan(k, blocks, first_only=False, stop=None):
+        def scan(k, blocks, first_only=False):
             return [
                 r
                 for head, lo, hi in blocks
-                for r in _scan_range(
-                    adj, seeds, cand, k, head, lo, hi, first_only, stop
-                )
+                for r in _scan_range(adj, seeds, cand, k, head, lo, hi, first_only)
             ]
 
         for k in (1, 2, 3):
@@ -306,7 +339,6 @@ class TestScanRange:
                 ]
                 assert max(sizes) <= chunk and sum(sizes) == math.comb(m, k)
                 assert scan(k, blocks) == expected
-                assert scan(k, blocks, stop=raised) == []
 
 
 class TestFallback:
