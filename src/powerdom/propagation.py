@@ -1,19 +1,24 @@
 """The power domination process: domination step, zero-forcing closure,
 PDS verification, and forcing-chain extraction.
 
-All functions are pure. One index-level domination step, ``_dominate``,
-and one zero-forcing kernel, ``_force_closure``, run the process. The
-kernel keeps an unobserved-neighbor counter only for observed nodes and
-fills a node's counter when the node becomes observed, so a run costs O(n)
-for its flag array plus the degrees of the nodes it observes, however
-little of the graph that is.
+All functions are pure. One zero-forcing kernel, ``_force_closure``, runs
+the process: it extends a closed state (observed flags, an
+unobserved-neighbor counter for each observed node, and the observed count)
+by a set of nodes. It marks them with ``_mark``, which fills each new
+node's counter and takes it off its observed neighbors' counters, then
+drains the queue of forcers, marking each forced node the same way. An
+extension costs the degrees of the nodes it newly observes. A run from
+scratch also pays O(n) for its zeroed state, and the level search pays
+O(n) for each copy of a state it extends, so a k-subset that shares its
+first k-1 nodes with the previous one pays only for its last node.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import Graph, label_key
 
@@ -47,41 +52,83 @@ def _indices(g: Graph, labels: Iterable[str]) -> List[int]:
     return [g.index_of(lab) for lab in labels]
 
 
+def _mark(
+    adj: Sequence[Sequence[int]],
+    observed: bytearray,
+    unobs: List[int],
+    nodes: Iterable[int],
+    count: int,
+    queue: deque,
+) -> int:
+    """Flag the nodes not yet observed among nodes (in order, once each) as
+    observed; return count plus the number flagged.
+
+    Each flagged node gets a counter of its unobserved neighbors, and each
+    neighbor observed before this call loses one from its counter. A node
+    whose counter is or falls to 1 is queued as a forcer: an earlier
+    observed neighbor when its counter falls, a flagged node once its own
+    counter is set, in the order of nodes. Once every node is observed the
+    counters are left as they are, since nothing is left to force."""
+    new = []
+    for v in nodes:
+        if not observed[v]:
+            observed[v] = 2  # flagged in this call
+            new.append(v)
+    count += len(new)
+    if count == len(adj):
+        observed[:] = b"\x01" * count
+        return count
+    for v in new:
+        c = 0
+        for u in adj[v]:
+            o = observed[u]
+            if o == 1:
+                unobs[u] -= 1
+                if unobs[u] == 1:
+                    queue.append(u)
+            elif not o:
+                c += 1
+        unobs[v] = c
+        if c == 1:
+            queue.append(v)
+    for v in new:
+        observed[v] = 1
+    return count
+
+
 def _force_closure(
     adj: Sequence[Sequence[int]],
     observed: bytearray,
-    marked: Sequence[int],
+    unobs: List[int],
+    nodes: Iterable[int],
+    count: int,
     log: Optional[list] = None,
 ) -> int:
-    """Run the zero-forcing rule to a fixed point from the observed nodes
-    listed in marked (each flagged in observed, no repeats); return the
-    final observed count. Mutates observed in place and appends (forcer,
-    forced) index pairs to log when one is given.
+    """Extend a closed state by nodes: mark them observed, then run the
+    zero-forcing rule to a fixed point; return the new observed count.
 
-    Forcers are queued in the order of marked, then as they reach one
-    unobserved neighbor. Counters exist only for observed nodes, so the
-    work follows the degrees of the nodes observed, not the whole graph."""
+    A closed state is the observed flags, the observed count, and an
+    unobserved-neighbor counter for each observed node, at a fixed point;
+    the empty state is all zero. Mutates observed and unobs in place and
+    appends (forcer, forced) index pairs to log when one is given. Each
+    force marks the forced node as _mark would, so the work follows the
+    degrees of the nodes newly observed, not the whole graph."""
     n = len(adj)
-    count = len(marked)
-    if count == n:
-        return count
-    unobs = [0] * n
-    queue = deque()
-    for v in marked:
-        unobs[v] = c = sum(1 for u in adj[v] if not observed[u])
-        if c == 1:
-            queue.append(v)
-    while queue:
+    queue: deque = deque()
+    count = _mark(adj, observed, unobs, nodes, count, queue)
+    while queue and count < n:
         v = queue.popleft()
         if unobs[v] != 1:
             continue
         w = next(u for u in adj[v] if not observed[u])
-        observed[w] = 1
-        count += 1
         if log is not None:
             log.append((v, w))
+        # _mark of w alone, inlined: it runs once per force, and the call
+        # alone cost a tenth of the level search's time
+        observed[w] = 1
+        count += 1
         if count == n:
-            return count
+            break
         c = 0
         for x in adj[w]:
             if observed[x]:
@@ -96,58 +143,48 @@ def _force_closure(
     return count
 
 
-def _dominate(
-    adj: Sequence[Sequence[int]], seeds: Iterable[int]
-) -> Tuple[bytearray, List[int]]:
-    """Domination step from the given seed indices: flag each seed and its
-    neighbors as observed; return the flags and the flagged indices, each
-    once, in the order flagged."""
-    observed = bytearray(len(adj))
-    marked = []
-    for s in seeds:
-        if not observed[s]:
-            observed[s] = 1
-            marked.append(s)
-        for u in adj[s]:
-            if not observed[u]:
-                observed[u] = 1
-                marked.append(u)
-    return observed, marked
+def _closed_neighborhoods(
+    adj: Sequence[Sequence[int]], seeds: Collection[int]
+) -> Iterator[int]:
+    """The seeds, then their neighbors: the nodes the domination step
+    observes (with repeats)."""
+    return chain(seeds, chain.from_iterable(map(adj.__getitem__, seeds)))
 
 
-def _observe(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bytearray:
-    """Run the power domination process from the given seed indices;
-    return the observed flags."""
-    observed, marked = _dominate(adj, seeds)
-    _force_closure(adj, observed, marked)
-    return observed
+def _observe(
+    adj: Sequence[Sequence[int]], seeds: Collection[int]
+) -> Tuple[bytearray, List[int], int]:
+    """Run the power domination process from the given seed indices; return
+    its closed state: the observed flags, the counters and the count."""
+    n = len(adj)
+    observed, unobs = bytearray(n), [0] * n
+    count = _force_closure(adj, observed, unobs, _closed_neighborhoods(adj, seeds), 0)
+    return observed, unobs, count
 
 
-def observes_all(adj: Sequence[Sequence[int]], seeds: Iterable[int]) -> bool:
+def observes_all(adj: Sequence[Sequence[int]], seeds: Collection[int]) -> bool:
     """Fast check: does the power domination process started from the given
-    seed indices observe every node? Index-level hot path for the search."""
-    observed, marked = _dominate(adj, seeds)
-    return _force_closure(adj, observed, marked) == len(adj)
+    seed indices observe every node?"""
+    return _observe(adj, seeds)[2] == len(adj)
 
 
 def _closed_state(g: Graph, marked: List[int], force_log: tuple) -> ObservationState:
-    """Run the zero-forcing closure from the observed indices in marked (no
-    repeats; forcers queue in this order) and return the result in labels,
-    with the new forces appended to force_log."""
-    observed = bytearray(g.node_count)
-    for i in marked:
-        observed[i] = 1
+    """Mark the indices in marked observed (forcers queue in this order),
+    run the zero-forcing closure and return the result in labels, with the
+    new forces appended to force_log."""
+    n = g.node_count
+    observed = bytearray(n)
     log: list = []
-    _force_closure(g.adjacency, observed, marked, log)
+    _force_closure(g.adjacency, observed, [0] * n, marked, 0, log)
     return ObservationState(
-        frozenset(g.label_at(i) for i in range(g.node_count) if observed[i]),
+        frozenset(g.label_at(i) for i in range(n) if observed[i]),
         force_log + tuple((g.label_at(a), g.label_at(b)) for a, b in log),
     )
 
 
 def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
     """Domination step: observe the closed neighborhoods of the PMU nodes."""
-    _, marked = _dominate(g.adjacency, _indices(g, pmus))
+    marked = _closed_neighborhoods(g.adjacency, _indices(g, pmus))
     return ObservationState(frozenset(g.label_at(i) for i in marked), ())
 
 
@@ -158,7 +195,7 @@ def zero_force(g: Graph, state: ObservationState) -> ObservationState:
 
 def power_dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
     """Full process: domination step followed by the zero-forcing closure."""
-    _, marked = _dominate(g.adjacency, _indices(g, pmus))
+    marked = set(_closed_neighborhoods(g.adjacency, _indices(g, pmus)))
     # sorted so forcers queue in index order, as in zero_force(g, dominate(g, pmus))
     return _closed_state(g, sorted(marked), ())
 

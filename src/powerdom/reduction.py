@@ -176,7 +176,7 @@ def preferred_nodes(g: Graph) -> PreferredReport:
     witness_comps: Dict[str, List[FrozenSet[str]]] = {}
     for v in sorted(articulation_points(g), key=label_key):
         vi = g.index_of(v)
-        observed = _observe(adj, [vi])
+        observed = _observe(adj, [vi])[0]
         # Every neighbor of v is observed by the domination step and v never
         # forces, so a component of g - v is fully observed iff the observed
         # nodes reached from a neighbor have no unobserved neighbor.
@@ -219,7 +219,7 @@ def redundant_nodes(g: Graph, pref: Iterable[str]) -> FrozenSet[str]:
     """Nodes whose closed neighborhood is entirely observed after running
     the process on the preferred set."""
     adj = g.adjacency
-    observed = _observe(adj, {g.index_of(v) for v in pref})
+    observed = _observe(adj, {g.index_of(v) for v in pref})[0]
     return frozenset(
         g.label_at(i)
         for i in range(g.node_count)

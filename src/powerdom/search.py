@@ -13,11 +13,17 @@ has failed, which is what makes the reported pdn exact. Within a level,
 pool tasks scan blocks of combinations with common leading candidates and
 return hits in rank order, so the minimum-rank success wins at any worker
 count.
+
+A block is scanned as a depth-first walk over its combinations in rank
+order. The seeds and the block's leading candidates are closed once; each
+step down copies the parent's closed state (observed flags, counters,
+count) and extends it by one candidate, so a k-subset pays for its last
+candidate and a copy of O(n), not for the whole process. The walk keeps
+one state per depth alive.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -26,7 +32,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InternalError, ParameterError
 from .graph import Graph, connected_components, label_key
-from .propagation import is_power_dominating_set, observes_all
+from .propagation import _force_closure, _observe, is_power_dominating_set, observes_all
 from .reduction import (
     ContractionReport,
     PreferredReport,
@@ -186,18 +192,39 @@ def _worker_init(adj, seeds, cand):
 def _scan_range(adj, seeds, cand, k, head, lo, hi, first_only) -> List[int]:
     """Test the k-combinations of candidate positions that begin with head
     and then a position in [lo, hi), each added to the seeds; return the
-    successful ranks in order, only the first when first_only."""
-    d = k - len(head)
-    rank = combination_rank(len(cand), head + tuple(range(lo, lo + d)))
-    front = seeds + tuple(cand[p] for p in head)
-    hits = []
-    for i in range(lo, hi):
-        for tail in itertools.combinations(cand[i + 1 :], d - 1):
-            if observes_all(adj, front + (cand[i],) + tail):
+    successful ranks in order, only the first when first_only.
+
+    The combinations are walked depth first in lexicographic order, which is
+    rank order. The seeds plus the head are closed once; each step down
+    copies the parent's closed state and extends it by one candidate's
+    closed neighborhood, which is exact because the closure of A and B is
+    the closure of closure(A) and B. A combination is successful iff its
+    leaf observes every node. Only leaves are tested: the levels below k
+    have failed, so no shorter prefix observes every node."""
+    m, n, d = len(cand), len(adj), k - len(head)
+    rank = combination_rank(m, head + tuple(range(lo, lo + d)))
+    nbhd = [(v, *adj[v]) for v in cand]
+    hits: List[int] = []
+
+    def walk(observed, unobs, count, start, stop, depth) -> bool:
+        # depth candidates are still to be added, the first at a position in
+        # [start, stop); True when first_only and a hit was found
+        nonlocal rank
+        for p in range(start, stop):
+            flags, counters = observed[:], unobs[:]
+            reached = _force_closure(adj, flags, counters, nbhd[p], count)
+            if depth > 1:
+                if walk(flags, counters, reached, p + 1, m - depth + 2, depth - 1):
+                    return True
+                continue
+            if reached == n:
                 hits.append(rank)
                 if first_only:
-                    return hits
+                    return True
             rank += 1
+        return False
+
+    walk(*_observe(adj, seeds + tuple(cand[p] for p in head)), lo, hi, d)
     return hits
 
 

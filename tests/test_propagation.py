@@ -13,6 +13,8 @@ from powerdom import (
     zero_force,
 )
 
+from powerdom.propagation import _force_closure, _observe
+
 from oracles import oracle_is_pds, oracle_power_dominate, random_graph
 
 
@@ -120,6 +122,36 @@ class TestClosureOrderIndependence:
             reference = zero_force(g, ObservationState(frozenset(start), ())).observed
             for trial in range(5):
                 assert randomized_closure(g, start, random.Random(seed * 31 + trial)) == reference
+
+
+class TestClosureExtension:
+    """closure(A and B) = closure(closure(A) and B): extending the closed
+    state of A by the nodes of B one at a time, as the level search does,
+    gives the state of the process run on A and B together."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_extension_matches_closure_of_union(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        g = random_graph(seed, n, rng.choice([0.15, 0.3]))
+        adj = g.adjacency
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        a = rng.randint(0, n)
+        b = rng.randint(0, n - a)
+        first, then = nodes[:a], nodes[a : a + b]
+        observed, unobs, count = _observe(adj, first)
+        for v in then:
+            count = _force_closure(adj, observed, unobs, (v, *adj[v]), count)
+        union = _observe(adj, first + then)
+        assert observed == union[0]
+        assert count == union[2] == sum(observed)
+        pmus = {g.label_at(v) for v in first + then}
+        assert {g.label_at(v) for v in range(n) if observed[v]} == oracle_power_dominate(g, pmus)
+        if count < n:  # a fully observed state keeps no counters
+            for v in range(n):
+                if observed[v]:
+                    assert unobs[v] == sum(1 for u in adj[v] if not observed[u])
 
 
 class TestIsPowerDominatingSet:

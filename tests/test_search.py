@@ -5,7 +5,10 @@ import os
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import powerdom.propagation
 import powerdom.search
 from powerdom import (
     Graph,
@@ -21,9 +24,10 @@ from powerdom import (
     subset_counts,
 )
 
-from powerdom.propagation import observes_all
+from powerdom.propagation import _force_closure, observes_all
 from powerdom.search import _blocks, _scan_range
 
+from families import structured_graphs
 from oracles import oracle_pdn, random_graph
 
 ZIM_TABLE_SETS = [
@@ -285,12 +289,12 @@ class TestPoolDecision:
     def test_worker_error_reaches_the_caller(self, ieee39, monkeypatch):
         parent = os.getpid()
 
-        def failing(adj, nodes):
+        def failing(*args):
             if os.getpid() != parent:
                 raise RuntimeError("worker failed")
-            return observes_all(adj, nodes)
+            return _force_closure(*args)
 
-        monkeypatch.setattr(powerdom.search, "observes_all", failing)
+        monkeypatch.setattr(powerdom.search, "_force_closure", failing)
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
         with pytest.raises(RuntimeError, match="worker failed"):
             solve(ieee39, SolverConfig(workers=2, mode="naive"))
@@ -339,6 +343,73 @@ class TestScanRange:
                 ]
                 assert max(sizes) <= chunk and sum(sizes) == math.comb(m, k)
                 assert scan(k, blocks) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(structured_graphs, st.randoms(use_true_random=False), st.integers(1, 2))
+    def test_walk_matches_plain_enumeration_on_structured_graphs(self, g, rng, split):
+        adj = g.adjacency
+        order = list(range(g.node_count))
+        rng.shuffle(order)
+        split = min(split, g.node_count - 1)
+        seeds, cand = tuple(order[:split]), tuple(order[split:])
+        m = len(cand)
+        for k in range(1, min(3, m) + 1):
+            expected = [
+                r
+                for r, c in enumerate(itertools.combinations(cand, k))
+                if observes_all(adj, seeds + c)
+            ]
+            for chunk in (1, 4):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(powerdom.search, "_CHUNK", chunk)
+                    blocks = list(_blocks(m, k))
+                full = [_scan_range(adj, seeds, cand, k, *b, False) for b in blocks]
+                firsts = [_scan_range(adj, seeds, cand, k, *b, True) for b in blocks]
+                assert [r for hits in full for r in hits] == expected
+                assert firsts == [hits[:1] for hits in full]
+                assert next((hits for hits in firsts if hits), []) == expected[:1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(structured_graphs, st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_no_prefix_observes_every_node(self, g, rng, split):
+        """The search scans level k only after every smaller level failed,
+        and allminpds scans level pdn, so a prefix of a k-combination never
+        observes every node: the closures that do are exactly the hits."""
+        adj = g.adjacency
+        n = g.node_count
+        order = list(range(n))
+        rng.shuffle(order)
+        seeds, cand = tuple(order[:split]), tuple(order[split:])
+        assume(cand and not observes_all(adj, seeds))
+        m = len(cand)
+        for k in range(1, m + 1):
+            expected = [
+                r
+                for r, c in enumerate(itertools.combinations(cand, k))
+                if observes_all(adj, seeds + c)
+            ]
+            if expected:
+                break
+        closures = []
+
+        def counting(*args):
+            count = _force_closure(*args)
+            closures.append(count)
+            return count
+
+        for chunk in (1, 4, 4096):
+            closures.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(powerdom.search, "_CHUNK", chunk)
+                mp.setattr(powerdom.search, "_force_closure", counting)
+                mp.setattr(powerdom.propagation, "_force_closure", counting)
+                hits = [
+                    r
+                    for b in _blocks(m, k)
+                    for r in _scan_range(adj, seeds, cand, k, *b, False)
+                ]
+            assert hits == expected
+            assert closures.count(n) == len(hits)
 
 
 class TestFallback:
