@@ -10,7 +10,11 @@ drains the queue of forcers, marking each forced node the same way. An
 extension costs the degrees of the nodes it newly observes. A run from
 scratch also pays O(n) for its zeroed state, and the level search pays
 O(n) for each copy of a state it extends, so a k-subset that shares its
-first k-1 nodes with the previous one pays only for its last node.
+first k-1 nodes with the previous one pays only for its last node. The
+collect-all scan pays even that only for k-subsets that meet the closed
+neighborhood of every fort it knows; it finds the forts with
+``_minimal_fort``, which shrinks the unobserved remainder of a failed
+closed state.
 """
 
 from __future__ import annotations
@@ -141,6 +145,29 @@ def _force_closure(
         if c == 1:
             queue.append(w)
     return count
+
+
+def _minimal_fort(
+    adj: Sequence[Sequence[int]], observed: bytearray, unobs: List[int], count: int
+) -> List[int]:
+    """The unobserved nodes of a closed state short of every node, shrunk to
+    a minimal fort; the state is left as it is.
+
+    A fort is a nonempty node set F that no node outside it has exactly one
+    neighbor in, and the unobserved remainder of a closed state is one. For
+    each node x of F in index order, the closure of x and the nodes outside
+    F either observes every node or leaves a smaller fort, which replaces F.
+    One pass is enough: closure is monotone, so an x that leaves no smaller
+    fort of F leaves none of any fort inside F either."""
+    n = len(adj)
+    for x in [v for v in range(n) if not observed[v]]:
+        if observed[x]:
+            continue
+        flags, counters = observed[:], unobs[:]
+        reached = _force_closure(adj, flags, counters, (x,), count)
+        if reached < n:
+            observed, unobs, count = flags, counters, reached
+    return [v for v in range(n) if not observed[v]]
 
 
 def _closed_neighborhoods(

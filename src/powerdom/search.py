@@ -20,6 +20,18 @@ step down copies the parent's closed state (observed flags, counters,
 count) and extends it by one candidate, so a k-subset pays for its last
 candidate and a copy of O(n), not for the whole process. The walk keeps
 one state per depth alive.
+
+The collect-all scan behind allminpds also filters by zero-forcing forts
+(Smith & Hicks, 2020): a set is a PDS iff it meets the closed neighborhood
+of every fort. The forts are found lazily: a leaf that fails leaves an
+unobserved remainder, which is shrunk to a minimal fort and added to a
+table of bitmasks over the candidates, and a later leaf whose masks do not
+cover every known fort is rejected for one int OR instead of a closure.
+Each process keeps its own table (the scanner's, or one per pool worker),
+so tables differ between workers, but only in the closures they save; the
+hits and their order do not change. First-hit scans find no forts, so
+nothing filters them: there nearly every failure is a new fort, and
+shrinking one costs far more than the closures it saves.
 """
 
 from __future__ import annotations
@@ -28,11 +40,20 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InternalError, ParameterError
 from .graph import Graph, connected_components, label_key
-from .propagation import _force_closure, _observe, is_power_dominating_set, observes_all
+from .propagation import (
+    _closed_neighborhoods,
+    _force_closure,
+    _minimal_fort,
+    _observe,
+    is_power_dominating_set,
+    observes_all,
+)
 from .reduction import (
     ContractionReport,
     PreferredReport,
@@ -180,16 +201,42 @@ def subset_counts(
 # the most ranks in one pool task; a level of at most this many runs in-process
 _CHUNK = 4096
 
-# (adj, seeds, cand) of the search a pool worker serves
+# (adj, seeds, cand) of the search a pool worker serves, and its fort table
 _W_PAYLOAD = None
+_W_FORTS = None
 
 
 def _worker_init(adj, seeds, cand):
-    global _W_PAYLOAD
+    global _W_PAYLOAD, _W_FORTS
     _W_PAYLOAD = (adj, seeds, cand)
+    _W_FORTS = _Forts(adj, cand)
 
 
-def _scan_range(adj, seeds, cand, k, head, lo, hi, first_only) -> List[int]:
+class _Forts:
+    """The forts a collect-all scan has found, as bitmasks over candidate
+    positions: bit i of masks[p] is set iff candidate p lies in the closed
+    neighborhood N[F] of fort i, and full has one bit per fort. A set is a
+    PDS iff it meets N[F] for every fort F, so a combination whose masks do
+    not OR to full is no PDS."""
+
+    def __init__(self, adj, cand):
+        self._adj = adj
+        self._pos = {v: p for p, v in enumerate(cand)}
+        self.masks = [0] * len(cand)
+        self.full = 0
+
+    def add(self, fort: Sequence[int]) -> None:
+        bit = self.full + 1
+        self.full |= bit
+        for v in set(_closed_neighborhoods(self._adj, fort)):
+            p = self._pos.get(v)
+            if p is not None:
+                self.masks[p] |= bit
+
+
+def _scan_range(
+    adj, seeds, cand, k, head, lo, hi, first_only, forts: Optional[_Forts] = None
+) -> List[int]:
     """Test the k-combinations of candidate positions that begin with head
     and then a position in [lo, hi), each added to the seeds; return the
     successful ranks in order, only the first when first_only.
@@ -200,31 +247,72 @@ def _scan_range(adj, seeds, cand, k, head, lo, hi, first_only) -> List[int]:
     closed neighborhood, which is exact because the closure of A and B is
     the closure of closure(A) and B. A combination is successful iff its
     leaf observes every node. Only leaves are tested: the levels below k
-    have failed, so no shorter prefix observes every node."""
+    have failed, so no shorter prefix observes every node.
+
+    The leaves are filtered by a table of forts (a fresh one when none is
+    given), to which a collect-all scan adds the forts it finds; a first-hit
+    scan adds none. The walk carries the OR of the prefix's masks, and a
+    leaf whose OR misses a known fort is rejected without a closure. A leaf
+    that passes and still fails leaves a new fort, which is shrunk to a
+    minimal one and added to the table. A prefix is not closed at all when
+    the later candidates cannot make up the forts it misses: one candidate
+    short of a leaf, when no single later candidate does; further up, when
+    all of them together do not. Its leaves only advance the rank. The
+    table only grows, and a new fort is met by no ancestor of the leaf it
+    came from, so the masks on the walk's stack stay exact. Every hit is
+    still a full closure: the filter only rejects."""
     m, n, d = len(cand), len(adj), k - len(head)
     rank = combination_rank(m, head + tuple(range(lo, lo + d)))
     nbhd = [(v, *adj[v]) for v in cand]
+    if forts is None:
+        forts = _Forts(adj, cand)
+    cm = forts.masks
     hits: List[int] = []
 
-    def walk(observed, unobs, count, start, stop, depth) -> bool:
+    def walk(observed, unobs, count, mask, start, stop, depth) -> bool:
         # depth candidates are still to be added, the first at a position in
-        # [start, stop); True when first_only and a hit was found
+        # [start, stop), to a prefix whose masks OR to mask; True when
+        # first_only and a hit was found
         nonlocal rank
+        if depth == 1:
+            full = forts.full
+            for p in range(start, stop):
+                if mask | cm[p] == full:
+                    flags, counters = observed[:], unobs[:]
+                    reached = _force_closure(adj, flags, counters, nbhd[p], count)
+                    if reached == n:
+                        hits.append(rank + p - start)
+                        if first_only:
+                            return True
+                    elif not first_only:
+                        forts.add(_minimal_fort(adj, flags, counters, reached))
+                        full = forts.full
+            rank += stop - start
+            return False
         for p in range(start, stop):
+            below = mask | cm[p]
+            # the forts the prefix and p miss, which the depth - 1 candidates
+            # still to come must make up
+            missing = forts.full & ~below
+            if missing:
+                later = cm[p + 1 :]
+                if depth == 2:
+                    # the one candidate to come must meet them all alone
+                    dead = missing not in map(missing.__and__, later)
+                else:
+                    # the candidates to come meet at most their union
+                    dead = missing & ~reduce(or_, later, 0)
+                if dead:
+                    rank += math.comb(m - p - 1, depth - 1)
+                    continue
             flags, counters = observed[:], unobs[:]
             reached = _force_closure(adj, flags, counters, nbhd[p], count)
-            if depth > 1:
-                if walk(flags, counters, reached, p + 1, m - depth + 2, depth - 1):
-                    return True
-                continue
-            if reached == n:
-                hits.append(rank)
-                if first_only:
-                    return True
-            rank += 1
+            if walk(flags, counters, reached, below, p + 1, m - depth + 2, depth - 1):
+                return True
         return False
 
-    walk(*_observe(adj, seeds + tuple(cand[p] for p in head)), lo, hi, d)
+    mask = reduce(or_, (cm[p] for p in head), 0)
+    walk(*_observe(adj, seeds + tuple(cand[p] for p in head)), mask, lo, hi, d)
     return hits
 
 
@@ -247,7 +335,7 @@ def _blocks(m: int, k: int, head: Tuple[int, ...] = (), i: int = 0):
 
 
 def _scan_task(spec):
-    return _scan_range(*_W_PAYLOAD, *spec)
+    return _scan_range(*_W_PAYLOAD, *spec, _W_FORTS)
 
 
 class _LevelScanner:
@@ -256,10 +344,13 @@ class _LevelScanner:
     and the level has more than _CHUNK ranks. The pool is started on first
     need with the payload and lives for one search: a first-hit scan returns
     the first block with a hit, which is the minimum-rank hit since blocks
-    come back in rank order, and exit terminates the blocks still running."""
+    come back in rank order, and exit terminates the blocks still running.
+    The in-process scans share the scanner's fort table; each pool worker
+    builds its own in _worker_init."""
 
     def __init__(self, adj, seeds, cand, workers: int):
         self._payload = (adj, seeds, cand)
+        self._forts = _Forts(adj, cand)
         self._m = len(cand)
         self._workers = workers
         self._pool = None
@@ -275,7 +366,9 @@ class _LevelScanner:
     def scan(self, k: int, first_only: bool) -> List[int]:
         """Successful ranks of level k, in rank order."""
         if not (self._workers > 1 and math.comb(self._m, k) > _CHUNK):
-            return _scan_range(*self._payload, k, (), 0, self._m - k + 1, first_only)
+            return _scan_range(
+                *self._payload, k, (), 0, self._m - k + 1, first_only, self._forts
+            )
         if self._pool is None:
             self._pool = multiprocessing.get_context("fork").Pool(
                 self._workers, initializer=_worker_init, initargs=self._payload

@@ -1,6 +1,21 @@
+import faulthandler
+import os
+import signal
+import sys
+
 import pytest
 
 from powerdom import Graph, builtin_graph
+
+
+def pytest_configure(config):
+    """`kill -USR1 <pid>` prints every thread's stack, for a run that hangs.
+    The dump goes to a copy of the terminal's stderr taken here, while
+    pytest is not capturing it, so a test's captured output cannot hide it."""
+    if hasattr(signal, "SIGUSR1"):
+        faulthandler.register(
+            signal.SIGUSR1, file=os.dup(sys.__stderr__.fileno()), all_threads=True
+        )
 
 
 @pytest.fixture

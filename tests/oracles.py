@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the package's propagation engine and solver paths:
-propagation is a plain set-based fixpoint, pdn is a raw subset scan, and
-articulation points come from delete-and-count.
+propagation is a plain set-based fixpoint, pdn is a raw subset scan,
+articulation points come from delete-and-count, and forts are checked
+against their definition with the same fixpoint.
 """
 
 import itertools
@@ -15,6 +16,13 @@ def oracle_power_dominate(g: Graph, pmus) -> set:
     observed = set(pmus)
     for v in pmus:
         observed.update(g.neighbors(v))
+    return oracle_zero_force(g, observed)
+
+
+def oracle_zero_force(g: Graph, observed) -> set:
+    """The closure of observed under the forcing rule: a node with exactly
+    one unobserved neighbor observes it."""
+    observed = set(observed)
     changed = True
     while changed:
         changed = False
@@ -28,6 +36,17 @@ def oracle_power_dominate(g: Graph, pmus) -> set:
 
 def oracle_is_pds(g: Graph, pmus) -> bool:
     return len(oracle_power_dominate(g, pmus)) == g.node_count
+
+
+def oracle_is_minimal_fort(g: Graph, fort) -> bool:
+    """fort is a fort (nonempty, and no node outside it has exactly one
+    neighbor in it) with no smaller fort inside: the forcing closure of any
+    one of its nodes plus every node outside it observes the whole graph."""
+    fort = set(fort)
+    rest = set(g.nodes) - fort
+    if not fort or any(len(fort.intersection(g.neighbors(v))) == 1 for v in rest):
+        return False
+    return all(len(oracle_zero_force(g, rest | {x})) == g.node_count for x in fort)
 
 
 def oracle_pdn(g: Graph) -> int:

@@ -8,9 +8,13 @@ counters only for observed nodes; they pin the order in which forces fire.
 The small-graph table was recorded before the per-component solvers were
 merged into one seeds-then-levels search; it pins the trivial, naive and
 multi-component paths, including which components kept a pipeline report.
+The ieee39 enumeration was recorded before the collect-all scan started
+filtering leaves by forts; it pins the 1,148 sets by a digest of their
+order, since the list is too long to spell out.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -185,6 +189,20 @@ def test_allminpds_matches_golden(name, workers, monkeypatch):
     monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
     sets = allminpds(builtin_graph(name), SolverConfig(workers=workers))
     assert [sorted(s) for s in sets] == ALLMINPDS_GOLDEN[name]
+
+
+# allminpds(ieee39): the set count and the SHA-256 of the sets in return
+# order, each as its sorted labels joined by commas, one set per line
+IEEE39_ALLMINPDS = (
+    1148, "4ab88b66f5f51059d502a0174f9feed4f549aeffab5f3b9e7a971e70e847e17a",
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ieee39_allminpds_matches_golden(workers):
+    sets = allminpds(builtin_graph("ieee39"), SolverConfig(workers=workers))
+    text = "\n".join(",".join(sorted(s)) for s in sets)
+    assert (len(sets), hashlib.sha256(text.encode()).hexdigest()) == IEEE39_ALLMINPDS
 
 
 @pytest.mark.parametrize("name, pmus", sorted(FORCE_LOG_GOLDEN))

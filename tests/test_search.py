@@ -24,11 +24,11 @@ from powerdom import (
     subset_counts,
 )
 
-from powerdom.propagation import _force_closure, observes_all
-from powerdom.search import _blocks, _scan_range
+from powerdom.propagation import _force_closure, _minimal_fort, observes_all
+from powerdom.search import _Forts, _blocks, _scan_range
 
 from families import structured_graphs
-from oracles import oracle_pdn, random_graph
+from oracles import oracle_is_minimal_fort, oracle_is_pds, oracle_pdn, random_graph
 
 ZIM_TABLE_SETS = [
     {"1", "9"}, {"2", "9"}, {"2", "10"}, {"2", "11"}, {"5", "9"},
@@ -359,11 +359,15 @@ class TestScanRange:
                 for r, c in enumerate(itertools.combinations(cand, k))
                 if observes_all(adj, seeds + c)
             ]
-            for chunk in (1, 4):
+            for chunk in (1, 4, 4096):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(powerdom.search, "_CHUNK", chunk)
                     blocks = list(_blocks(m, k))
-                full = [_scan_range(adj, seeds, cand, k, *b, False) for b in blocks]
+                # one fort table across the blocks, as in a pool worker
+                forts = _Forts(adj, cand)
+                full = [
+                    _scan_range(adj, seeds, cand, k, *b, False, forts) for b in blocks
+                ]
                 firsts = [_scan_range(adj, seeds, cand, k, *b, True) for b in blocks]
                 assert [r for hits in full for r in hits] == expected
                 assert firsts == [hits[:1] for hits in full]
@@ -374,7 +378,9 @@ class TestScanRange:
     def test_no_prefix_observes_every_node(self, g, rng, split):
         """The search scans level k only after every smaller level failed,
         and allminpds scans level pdn, so a prefix of a k-combination never
-        observes every node: the closures that do are exactly the hits."""
+        observes every node: the walk's closures that do are exactly the
+        hits. The closures that shrink a fort are not the walk's: most of
+        them observe every node, so they are left out of the count."""
         adj = g.adjacency
         n = g.node_count
         order = list(range(n))
@@ -391,11 +397,21 @@ class TestScanRange:
             if expected:
                 break
         closures = []
+        shrinking = False
 
         def counting(*args):
             count = _force_closure(*args)
-            closures.append(count)
+            if not shrinking:
+                closures.append(count)
             return count
+
+        def minimal_fort(*args):
+            nonlocal shrinking
+            shrinking = True
+            try:
+                return _minimal_fort(*args)
+            finally:
+                shrinking = False
 
         for chunk in (1, 4, 4096):
             closures.clear()
@@ -403,6 +419,7 @@ class TestScanRange:
                 mp.setattr(powerdom.search, "_CHUNK", chunk)
                 mp.setattr(powerdom.search, "_force_closure", counting)
                 mp.setattr(powerdom.propagation, "_force_closure", counting)
+                mp.setattr(powerdom.search, "_minimal_fort", minimal_fort)
                 hits = [
                     r
                     for b in _blocks(m, k)
@@ -410,6 +427,96 @@ class TestScanRange:
                 ]
             assert hits == expected
             assert closures.count(n) == len(hits)
+
+
+class TestFortFilter:
+    """A collect-all scan rejects a leaf whose candidates miss the closed
+    neighborhood of a fort it has found, and finds forts by shrinking the
+    remainder of each leaf that passes the filter and still fails."""
+
+    def check_harvest(self, g, seeds, cand, k):
+        """Scan level k over its blocks with one fort table; check every
+        fort found against the oracle, and that no leaf missing a found
+        fort's closed neighborhood is a PDS. Return the forts found."""
+        adj = g.adjacency
+        found = []
+
+        def recording(*args):
+            fort = _minimal_fort(*args)
+            found.append(fort)
+            return fort
+
+        forts = _Forts(adj, cand)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerdom.search, "_minimal_fort", recording)
+            hits = [
+                r
+                for b in _blocks(len(cand), k)
+                for r in _scan_range(adj, seeds, cand, k, *b, False, forts)
+            ]
+        label = g.label_at
+        nbhds = []
+        for fort in found:
+            fort = {label(v) for v in fort}
+            assert oracle_is_minimal_fort(g, fort), sorted(fort)
+            nbhds.append(fort.union(*(g.neighbors(v) for v in fort)))
+        expected = []
+        for r, combo in enumerate(itertools.combinations(cand, k)):
+            chosen = {label(v) for v in seeds + combo}
+            if oracle_is_pds(g, chosen):
+                expected.append(r)
+                assert all(not chosen.isdisjoint(nb) for nb in nbhds), sorted(chosen)
+        assert hits == expected
+        return found
+
+    @settings(max_examples=40, deadline=None)
+    @given(structured_graphs, st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_structured_graphs(self, g, rng, split):
+        order = list(range(g.node_count))
+        rng.shuffle(order)
+        split = min(split, g.node_count - 1)
+        seeds, cand = tuple(order[:split]), tuple(order[split:])
+        for k in range(1, min(3, len(cand)) + 1):
+            self.check_harvest(g, seeds, cand, k)
+
+    def test_random_graphs(self, monkeypatch):
+        found = 0
+        for seed in range(12):
+            g = random_graph(seed, 9 + seed % 5, 0.25)
+            cand = tuple(range(g.node_count))
+            for k in (1, 2, 3):
+                for chunk in (4, 4096):
+                    monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
+                    found += len(self.check_harvest(g, (), cand, k))
+        assert found > 0
+
+    def test_filter_rejects_most_leaves(self):
+        """Without the filter, allminpds would close all C(35, 4) = 52,360
+        leaves of this graph's level 4."""
+        g = erdos_renyi_connected(35, 0.09, 6)
+        adj = g.adjacency
+        cand = tuple(range(g.node_count))
+        closures = 0
+
+        def counting(*args):
+            nonlocal closures
+            closures += 1
+            return _force_closure(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerdom.search, "_force_closure", counting)
+            hits = _scan_range(adj, (), cand, 4, (), 0, 35 - 4 + 1, False)
+        assert len(hits) == len(allminpds(g))
+        assert closures < math.comb(35, 4) // 10
+
+    @settings(max_examples=25, deadline=None)
+    @given(structured_graphs)
+    def test_pooled_allminpds_matches_in_process(self, g):
+        # each worker finds its own forts, so only the closures differ
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerdom.search, "_CHUNK", 4)
+            pooled = allminpds(g, SolverConfig(workers=2))
+        assert pooled == allminpds(g, SolverConfig(workers=1))
 
 
 class TestFallback:
