@@ -9,10 +9,10 @@ candidate. Paths and cycles need no search. An optimized plan that exhausts
 its candidates is followed by the naive plan, so the answer stays exact.
 
 Levels are strict barriers: size k+1 is only searched once every k-subset
-has failed, which is what makes the reported pdn exact. Within a level,
-pool tasks scan blocks of combinations with common leading candidates and
-return hits in rank order, so the minimum-rank success wins at any worker
-count.
+has failed, which is what makes the reported pdn exact. Every level is
+scanned as blocks of combinations with common leading candidates, in this
+process or on the pool, and the hits come back in rank order as tuples of
+candidate positions, so the minimum-rank success wins at any worker count.
 
 A block is scanned as a depth-first walk over its combinations in rank
 order. The seeds and the block's leading candidates are closed once; each
@@ -198,7 +198,7 @@ def subset_counts(
 
 # -- level scanning ----------------------------------------------------------
 
-# the most ranks in one pool task; a level of at most this many runs in-process
+# the most ranks in one block; a level of at most this many is not pooled
 _CHUNK = 4096
 
 # (adj, seeds, cand) of the search a pool worker serves, and its fort table
@@ -236,10 +236,11 @@ class _Forts:
 
 def _scan_range(
     adj, seeds, cand, k, head, lo, hi, first_only, forts: Optional[_Forts] = None
-) -> List[int]:
+) -> List[Tuple[int, ...]]:
     """Test the k-combinations of candidate positions that begin with head
     and then a position in [lo, hi), each added to the seeds; return the
-    successful ranks in order, only the first when first_only.
+    successful combinations of positions in order, only the first when
+    first_only.
 
     The combinations are walked depth first in lexicographic order, which is
     rank order. The seeds plus the head are closed once; each step down
@@ -257,23 +258,21 @@ def _scan_range(
     minimal one and added to the table. A prefix is not closed at all when
     the later candidates cannot make up the forts it misses: one candidate
     short of a leaf, when no single later candidate does; further up, when
-    all of them together do not. Its leaves only advance the rank. The
-    table only grows, and a new fort is met by no ancestor of the leaf it
-    came from, so the masks on the walk's stack stay exact. Every hit is
-    still a full closure: the filter only rejects."""
+    all of them together do not. The table only grows, and a new fort is
+    met by no ancestor of the leaf it came from, so the masks on the walk's
+    stack stay exact. Every hit is still a full closure: the filter only
+    rejects."""
     m, n, d = len(cand), len(adj), k - len(head)
-    rank = combination_rank(m, head + tuple(range(lo, lo + d)))
     nbhd = [(v, *adj[v]) for v in cand]
     if forts is None:
         forts = _Forts(adj, cand)
     cm = forts.masks
-    hits: List[int] = []
+    hits: List[Tuple[int, ...]] = []
 
-    def walk(observed, unobs, count, mask, start, stop, depth) -> bool:
+    def walk(observed, unobs, count, mask, prefix, start, stop, depth) -> bool:
         # depth candidates are still to be added, the first at a position in
-        # [start, stop), to a prefix whose masks OR to mask; True when
-        # first_only and a hit was found
-        nonlocal rank
+        # [start, stop), to the positions prefix, whose masks OR to mask;
+        # True when first_only and a hit was found
         if depth == 1:
             full = forts.full
             for p in range(start, stop):
@@ -281,13 +280,12 @@ def _scan_range(
                     flags, counters = observed[:], unobs[:]
                     reached = _force_closure(adj, flags, counters, nbhd[p], count)
                     if reached == n:
-                        hits.append(rank + p - start)
+                        hits.append(prefix + (p,))
                         if first_only:
                             return True
                     elif not first_only:
                         forts.add(_minimal_fort(adj, flags, counters, reached))
                         full = forts.full
-            rank += stop - start
             return False
         for p in range(start, stop):
             below = mask | cm[p]
@@ -303,21 +301,22 @@ def _scan_range(
                     # the candidates to come meet at most their union
                     dead = missing & ~reduce(or_, later, 0)
                 if dead:
-                    rank += math.comb(m - p - 1, depth - 1)
                     continue
             flags, counters = observed[:], unobs[:]
             reached = _force_closure(adj, flags, counters, nbhd[p], count)
-            if walk(flags, counters, reached, below, p + 1, m - depth + 2, depth - 1):
+            if walk(
+                flags, counters, reached, below, prefix + (p,), p + 1, m - depth + 2, depth - 1
+            ):
                 return True
         return False
 
     mask = reduce(or_, (cm[p] for p in head), 0)
-    walk(*_observe(adj, seeds + tuple(cand[p] for p in head)), mask, lo, hi, d)
+    walk(*_observe(adj, seeds + tuple(cand[p] for p in head)), mask, head, lo, hi, d)
     return hits
 
 
 def _blocks(m: int, k: int, head: Tuple[int, ...] = (), i: int = 0):
-    """(head, lo, hi) pool tasks that cover, in rank order, the level's
+    """(head, lo, hi) blocks that cover, in rank order, the level's
     combinations that extend head by positions from i on; each has at most
     _CHUNK ranks."""
     d = k - len(head)
@@ -340,13 +339,13 @@ def _scan_task(spec):
 
 class _LevelScanner:
     """Scans levels of k-combinations of candidate positions, each added to
-    the seeds: in this process, or as _blocks on a fork pool when workers > 1
-    and the level has more than _CHUNK ranks. The pool is started on first
-    need with the payload and lives for one search: a first-hit scan returns
-    the first block with a hit, which is the minimum-rank hit since blocks
-    come back in rank order, and exit terminates the blocks still running.
-    The in-process scans share the scanner's fort table; each pool worker
-    builds its own in _worker_init."""
+    the seeds, as _blocks: on a fork pool when workers > 1 and the level has
+    more than _CHUNK ranks, otherwise in this process. The pool is started
+    on first need with the payload and lives for one search. A first-hit
+    scan returns the first block with a hit, which is the minimum-rank hit
+    since blocks come back in rank order, and exit terminates the blocks
+    still running. The in-process blocks share the scanner's fort table;
+    each pool worker builds its own in _worker_init."""
 
     def __init__(self, adj, seeds, cand, workers: int):
         self._payload = (adj, seeds, cand)
@@ -363,19 +362,21 @@ class _LevelScanner:
             self._pool.terminate()
             self._pool.join()
 
-    def scan(self, k: int, first_only: bool) -> List[int]:
-        """Successful ranks of level k, in rank order."""
-        if not (self._workers > 1 and math.comb(self._m, k) > _CHUNK):
-            return _scan_range(
-                *self._payload, k, (), 0, self._m - k + 1, first_only, self._forts
-            )
-        if self._pool is None:
-            self._pool = multiprocessing.get_context("fork").Pool(
-                self._workers, initializer=_worker_init, initargs=self._payload
-            )
+    def scan(self, k: int, first_only: bool) -> List[Tuple[int, ...]]:
+        """Successful combinations of positions of level k, in rank order."""
         specs = ((k, *block, first_only) for block in _blocks(self._m, k))
-        hits: List[int] = []
-        for block_hits in self._pool.imap(_scan_task, specs):
+        if self._workers > 1 and math.comb(self._m, k) > _CHUNK:
+            if self._pool is None:
+                self._pool = multiprocessing.get_context("fork").Pool(
+                    self._workers, initializer=_worker_init, initargs=self._payload
+                )
+            results = self._pool.imap(_scan_task, specs)
+        else:
+            results = (
+                _scan_range(*self._payload, *spec, self._forts) for spec in specs
+            )
+        hits: List[Tuple[int, ...]] = []
+        for block_hits in results:
             if first_only and block_hits:
                 return block_hits
             hits.extend(block_hits)
@@ -424,8 +425,8 @@ def _search(
         for k in range(1, m + 1):
             hits = scanner.scan(k, first_only=True)
             if hits:
-                chosen = tuple(cands[p] for p in combination_unrank(m, k, hits[0]))
-                out.subsets_checked += hits[0] + 1
+                chosen = tuple(cands[p] for p in hits[0])
+                out.subsets_checked += combination_rank(m, hits[0]) + 1
                 out.pdn, out.pds = len(seeds) + k, tuple(seeds) + chosen
                 return True
             out.subsets_checked += math.comb(m, k)
@@ -525,7 +526,4 @@ def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet
     idx = tuple(g.index_of(v) for v in labels)
     with _LevelScanner(g.adjacency, (), idx, cfg.workers) as scanner:
         hits = scanner.scan(k, first_only=False)
-    return [
-        frozenset(labels[p] for p in combination_unrank(len(labels), k, rank))
-        for rank in hits
-    ]
+    return [frozenset(labels[p] for p in hit) for hit in hits]

@@ -5,7 +5,7 @@ import os
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import powerdom.propagation
@@ -281,6 +281,63 @@ class TestPoolDecision:
         assert len(expected) == 13
         assert hits == (expected[:1] if first_only else expected)
 
+    # the contexts spy only records, so it may span the examples
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(structured_graphs, st.integers(1, 3))
+    def test_in_process_level_runs_blocks(self, contexts, g, k):
+        """At one worker a level is scanned block by block too: one
+        _scan_range call per _blocks spec, up to the first block with a hit
+        when first_only, and the hits of one whole-level call."""
+        m = g.node_count
+        assume(k <= m)
+        adj, idx = g.adjacency, tuple(range(m))
+        calls = []
+
+        def spy(*args):
+            calls.append(args[4:7])
+            return _scan_range(*args)
+
+        for first_only in (False, True):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(powerdom.search, "_CHUNK", 4)
+                mp.setattr(powerdom.search, "_scan_range", spy)
+                specs = list(_blocks(m, k))
+                hits = self.scan(g, k, workers=1, first_only=first_only)
+            assert hits == _scan_range(adj, (), idx, k, (), 0, m - k + 1, first_only)
+            scanned = len(specs)
+            if first_only and hits:
+                c = hits[0]
+                scanned = 1 + next(
+                    i
+                    for i, (head, lo, hi) in enumerate(specs)
+                    if c[: len(head)] == head and lo <= c[len(head)] < hi
+                )
+            assert calls == specs[:scanned]
+        assert contexts == []
+
+    def test_pool_payload_survives_spawn(self, zim, monkeypatch):
+        """The workers get their payload by pickling alone, so a pool
+        started with spawn scans as the fork pool does."""
+        started = []
+        real = multiprocessing.get_context
+
+        def spawn(method=None):
+            started.append(method)
+            return real("spawn")
+
+        monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spawn)
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        pooled = allminpds(zim, SolverConfig(workers=2))
+        assert started
+        assert len(pooled) == 13
+        assert pooled == allminpds(zim, SolverConfig(workers=1))
+        assert multiprocessing.active_children() == []
+
     def test_first_hit_pooled_solve_leaves_no_worker(self, ieee39, monkeypatch):
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
         assert solve(ieee39, SolverConfig(workers=2, mode="naive")).pdn == 5
@@ -302,9 +359,9 @@ class TestPoolDecision:
 
 
 class TestScanRange:
-    """Each block of a level starts at the rank that itertools.combinations
-    gives its first combination, and _blocks covers a level in rank order
-    with blocks of at most _CHUNK ranks."""
+    """A block returns its hits as combinations of candidate positions, in
+    the order itertools.combinations gives them, and _blocks covers a level
+    in rank order with blocks of at most _CHUNK ranks."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_blocks_match_plain_enumeration(self, seed, monkeypatch):
@@ -319,16 +376,16 @@ class TestScanRange:
 
         def scan(k, blocks, first_only=False):
             return [
-                r
+                c
                 for head, lo, hi in blocks
-                for r in _scan_range(adj, seeds, cand, k, head, lo, hi, first_only)
+                for c in _scan_range(adj, seeds, cand, k, head, lo, hi, first_only)
             ]
 
         for k in (1, 2, 3):
             expected = [
-                r
-                for r, c in enumerate(itertools.combinations(cand, k))
-                if observes_all(adj, seeds + c)
+                c
+                for c in itertools.combinations(range(m), k)
+                if observes_all(adj, seeds + tuple(cand[p] for p in c))
             ]
             whole = [((), 0, m - k + 1)]
             firsts = [((), i, i + 1) for i in range(m - k + 1)]
@@ -355,9 +412,9 @@ class TestScanRange:
         m = len(cand)
         for k in range(1, min(3, m) + 1):
             expected = [
-                r
-                for r, c in enumerate(itertools.combinations(cand, k))
-                if observes_all(adj, seeds + c)
+                c
+                for c in itertools.combinations(range(m), k)
+                if observes_all(adj, seeds + tuple(cand[p] for p in c))
             ]
             for chunk in (1, 4, 4096):
                 with pytest.MonkeyPatch.context() as mp:
@@ -369,7 +426,7 @@ class TestScanRange:
                     _scan_range(adj, seeds, cand, k, *b, False, forts) for b in blocks
                 ]
                 firsts = [_scan_range(adj, seeds, cand, k, *b, True) for b in blocks]
-                assert [r for hits in full for r in hits] == expected
+                assert [c for hits in full for c in hits] == expected
                 assert firsts == [hits[:1] for hits in full]
                 assert next((hits for hits in firsts if hits), []) == expected[:1]
 
@@ -390,9 +447,9 @@ class TestScanRange:
         m = len(cand)
         for k in range(1, m + 1):
             expected = [
-                r
-                for r, c in enumerate(itertools.combinations(cand, k))
-                if observes_all(adj, seeds + c)
+                c
+                for c in itertools.combinations(range(m), k)
+                if observes_all(adj, seeds + tuple(cand[p] for p in c))
             ]
             if expected:
                 break
@@ -421,9 +478,9 @@ class TestScanRange:
                 mp.setattr(powerdom.propagation, "_force_closure", counting)
                 mp.setattr(powerdom.search, "_minimal_fort", minimal_fort)
                 hits = [
-                    r
+                    c
                     for b in _blocks(m, k)
-                    for r in _scan_range(adj, seeds, cand, k, *b, False)
+                    for c in _scan_range(adj, seeds, cand, k, *b, False)
                 ]
             assert hits == expected
             assert closures.count(n) == len(hits)
@@ -450,9 +507,9 @@ class TestFortFilter:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_minimal_fort", recording)
             hits = [
-                r
+                c
                 for b in _blocks(len(cand), k)
-                for r in _scan_range(adj, seeds, cand, k, *b, False, forts)
+                for c in _scan_range(adj, seeds, cand, k, *b, False, forts)
             ]
         label = g.label_at
         nbhds = []
@@ -461,10 +518,10 @@ class TestFortFilter:
             assert oracle_is_minimal_fort(g, fort), sorted(fort)
             nbhds.append(fort.union(*(g.neighbors(v) for v in fort)))
         expected = []
-        for r, combo in enumerate(itertools.combinations(cand, k)):
-            chosen = {label(v) for v in seeds + combo}
+        for c in itertools.combinations(range(len(cand)), k):
+            chosen = {label(v) for v in seeds + tuple(cand[p] for p in c)}
             if oracle_is_pds(g, chosen):
-                expected.append(r)
+                expected.append(c)
                 assert all(not chosen.isdisjoint(nb) for nb in nbhds), sorted(chosen)
         assert hits == expected
         return found
