@@ -40,7 +40,7 @@ def _load_graph(args) -> Graph:
         raise ParameterError("provide an input file or --builtin NAME")
     with open(args.input, "rb") as fh:
         data = fh.read()
-    fmt = getattr(args, "format", "auto") or "auto"
+    fmt = args.format
     if fmt == "auto":
         fmt = _detect_format(data)
     if fmt == "graph6":
@@ -53,7 +53,7 @@ def _load_graph(args) -> Graph:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         return args.workers
     env = os.environ.get("PDT_WORKERS")
     if env:
@@ -68,10 +68,7 @@ def _resolve_workers(args) -> int:
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(
-        workers=_resolve_workers(args),
-        mode=getattr(args, "mode", "optimized"),
-    )
+    return SolverConfig(workers=_resolve_workers(args), mode=args.mode)
 
 
 def _result_json(result, timing_ms: float) -> dict:
@@ -118,7 +115,7 @@ def _cmd_allminpds(args) -> int:
     ordered = [sorted(s) for s in sets]
     if args.json:
         print(json.dumps({
-            "pdn": len(ordered[0]) if ordered else 0,
+            "pdn": len(ordered[0]),
             "sets": ordered,
             "timing_ms": ms,
         }))

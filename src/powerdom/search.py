@@ -13,6 +13,11 @@ has failed, which is what makes the reported pdn exact. Every level is
 scanned as blocks of combinations with common leading candidates, in this
 process or on the pool, and the hits come back in rank order as tuples of
 candidate positions, so the minimum-rank success wins at any worker count.
+The pool is a ProcessPoolExecutor fed in rank order, about two blocks per
+worker ahead. However a pooled scan ends (the level is done, a first hit,
+an error, a dead worker, Ctrl-C), exit cancels the blocks not yet started
+and waits for the running ones; no worker is killed, and a worker that dies
+raises InternalError instead of hanging the scan.
 
 A block is scanned as a depth-first walk over its combinations in rank
 order. The seeds and the block's leading candidates are closed once; each
@@ -39,8 +44,10 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -339,12 +346,13 @@ def _scan_task(spec):
 
 class _LevelScanner:
     """Scans levels of k-combinations of candidate positions, each added to
-    the seeds, as _blocks: on a fork pool when workers > 1 and the level has
-    more than _CHUNK ranks, otherwise in this process. The pool is started
-    on first need with the payload and lives for one search. A first-hit
-    scan returns the first block with a hit, which is the minimum-rank hit
-    since blocks come back in rank order, and exit terminates the blocks
-    still running. The in-process blocks share the scanner's fort table;
+    the seeds, as _blocks: on a fork process pool when workers > 1 and the
+    level has more than _CHUNK ranks, otherwise in this process. The pool is
+    started on first need with the payload and lives for one search. A
+    first-hit scan returns the first block with a hit, which is the
+    minimum-rank hit since blocks come back in rank order. Exit cancels the
+    blocks not yet started and waits for the running ones to finish, so no
+    worker is killed. The in-process blocks share the scanner's fort table;
     each pool worker builds its own in _worker_init."""
 
     def __init__(self, adj, seeds, cand, workers: int):
@@ -359,18 +367,13 @@ class _LevelScanner:
 
     def __exit__(self, *exc) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(cancel_futures=True)
 
     def scan(self, k: int, first_only: bool) -> List[Tuple[int, ...]]:
         """Successful combinations of positions of level k, in rank order."""
         specs = ((k, *block, first_only) for block in _blocks(self._m, k))
         if self._workers > 1 and math.comb(self._m, k) > _CHUNK:
-            if self._pool is None:
-                self._pool = multiprocessing.get_context("fork").Pool(
-                    self._workers, initializer=_worker_init, initargs=self._payload
-                )
-            results = self._pool.imap(_scan_task, specs)
+            results = self._pooled(specs)
         else:
             results = (
                 _scan_range(*self._payload, *spec, self._forts) for spec in specs
@@ -381,6 +384,25 @@ class _LevelScanner:
                 return block_hits
             hits.extend(block_hits)
         return hits
+
+    def _pooled(self, specs):
+        """The specs' results from the pool, in order. Two blocks per worker
+        are submitted ahead, and one more each time a result is taken."""
+        # imported here: at module top it would slow `import powerdom`
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        if self._pool is None:
+            fork = multiprocessing.get_context("fork")
+            self._pool = ProcessPoolExecutor(self._workers, fork, _worker_init, self._payload)
+        try:
+            submit = self._pool.submit
+            window = deque(submit(_scan_task, s) for s in islice(specs, 2 * self._workers))
+            while window:
+                block_hits = window.popleft().result()
+                window.extend(submit(_scan_task, s) for s in islice(specs, 1))
+                yield block_hits
+        except BrokenProcessPool as exc:
+            raise InternalError("a pool worker died") from exc
 
 
 # -- component search ------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from powerdom import builtin_graph, is_power_dominating_set, write_edge_list
 from powerdom.cli import main
 
+import children
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -130,6 +132,19 @@ class TestAllMinPdsCommand:
         assert len(lines) == 13
         for line in lines:
             assert is_power_dominating_set(zim, json.loads(line))
+
+    def test_dead_pool_worker_exits_3(self):
+        code, out, err = children.run(
+            children.DYING_WORKER
+            + """
+import sys
+from powerdom.cli import main
+sys.exit(main(["allminpds", "--builtin", "zim", "--workers", "2"]))
+"""
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: a pool worker died\n"
 
 
 class TestAnalyzeCommand:

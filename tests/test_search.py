@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -27,6 +28,7 @@ from powerdom import (
 from powerdom.propagation import _force_closure, _minimal_fort, observes_all
 from powerdom.search import _Forts, _blocks, _scan_range
 
+import children
 from families import structured_graphs
 from oracles import oracle_is_minimal_fort, oracle_is_pds, oracle_pdn, random_graph
 
@@ -356,6 +358,72 @@ class TestPoolDecision:
         with pytest.raises(RuntimeError, match="worker failed"):
             solve(ieee39, SolverConfig(workers=2, mode="naive"))
         assert multiprocessing.active_children() == []
+
+
+class TestPoolExit:
+    """Every way a pooled scan ends leaves no worker behind, and none of
+    them hangs. Each case runs in a child process, so that a hang fails
+    the test instead of the suite."""
+
+    def test_dead_worker_raises_internal_error(self):
+        code, out, err = children.run(
+            children.DYING_WORKER
+            + """
+import multiprocessing, time
+from concurrent.futures.process import BrokenProcessPool
+from powerdom import InternalError, SolverConfig, allminpds, builtin_graph
+start = time.perf_counter()
+try:
+    allminpds(builtin_graph("zim"), SolverConfig(workers=2))
+except InternalError as exc:
+    assert isinstance(exc.__cause__, BrokenProcessPool), repr(exc.__cause__)
+    print(time.perf_counter() - start, len(multiprocessing.active_children()))
+"""
+        )
+        assert code == 0, err
+        seconds, left = out.split()
+        assert float(seconds) < 10
+        assert left == "0"
+
+    def test_ctrl_c_stops_a_pooled_solve(self):
+        child = children.start(
+            """
+import multiprocessing, os
+import powerdom.search
+from powerdom import SolverConfig, builtin_graph, solve
+real_task = powerdom.search._scan_task
+announced = []
+def announce(spec):
+    if not announced:
+        announced.append(spec)
+        os.write(1, b"started\\n")
+    return real_task(spec)
+powerdom.search._scan_task = announce
+powerdom.search._CHUNK = 64
+try:
+    solve(builtin_graph("ieee39"), SolverConfig(workers=2, mode="naive"))
+finally:
+    print("workers left:", len(multiprocessing.active_children()))
+"""
+        )
+        # each worker has begun its first block, so the pool is running
+        assert children.read_lines(child, 2, timeout=20) == ["started\n"] * 2
+        os.killpg(child.pid, signal.SIGINT)
+        out, err = children.finish(child, timeout=20)
+        assert child.returncode == -signal.SIGINT, err
+        assert err.rstrip().endswith("KeyboardInterrupt")
+        assert out == "workers left: 0\n"
+        # and nothing else of the child's process group is left running
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
+
+    def test_import_does_not_load_the_executor(self):
+        """concurrent.futures is imported on a pool's first start only, so
+        a solve that never pools does not pay for it."""
+        code, out, err = children.run(
+            "import sys, powerdom; print('concurrent.futures' in sys.modules)"
+        )
+        assert (code, out) == (0, "False\n"), err
 
 
 class TestScanRange:
