@@ -195,20 +195,6 @@ def observes_all(adj: Sequence[Sequence[int]], seeds: Collection[int]) -> bool:
     return _observe(adj, seeds)[2] == len(adj)
 
 
-def _closed_state(g: Graph, marked: List[int], force_log: tuple) -> ObservationState:
-    """Mark the indices in marked observed (forcers queue in this order),
-    run the zero-forcing closure and return the result in labels, with the
-    new forces appended to force_log."""
-    n = g.node_count
-    observed = bytearray(n)
-    log: list = []
-    _force_closure(g.adjacency, observed, [0] * n, marked, 0, log)
-    return ObservationState(
-        frozenset(g.label_at(i) for i in range(n) if observed[i]),
-        force_log + tuple((g.label_at(a), g.label_at(b)) for a, b in log),
-    )
-
-
 def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
     """Domination step: observe the closed neighborhoods of the PMU nodes."""
     marked = _closed_neighborhoods(g.adjacency, _indices(g, pmus))
@@ -216,15 +202,22 @@ def dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
 
 
 def zero_force(g: Graph, state: ObservationState) -> ObservationState:
-    """Apply the forcing rule to a fixed point, extending the force log."""
-    return _closed_state(g, sorted(_indices(g, state.observed)), state.force_log)
+    """Apply the forcing rule to a fixed point, extending the force log.
+    The observed nodes queue as forcers in index order."""
+    n = g.node_count
+    observed = bytearray(n)
+    log: list = []
+    marked = sorted(_indices(g, state.observed))
+    _force_closure(g.adjacency, observed, [0] * n, marked, 0, log)
+    return ObservationState(
+        frozenset(g.label_at(i) for i in range(n) if observed[i]),
+        state.force_log + tuple((g.label_at(a), g.label_at(b)) for a, b in log),
+    )
 
 
 def power_dominate(g: Graph, pmus: Iterable[str]) -> ObservationState:
     """Full process: domination step followed by the zero-forcing closure."""
-    marked = set(_closed_neighborhoods(g.adjacency, _indices(g, pmus)))
-    # sorted so forcers queue in index order, as in zero_force(g, dominate(g, pmus))
-    return _closed_state(g, sorted(marked), ())
+    return zero_force(g, dominate(g, pmus))
 
 
 def is_power_dominating_set(g: Graph, pmus: Iterable[str]) -> bool:

@@ -5,8 +5,10 @@ The search tests the seeds alone, then the seeds plus each k-combination
 of the candidates for k = 1, 2, ... . The optimized plan is the contracted
 component with the preferred nodes as seeds and the ordered non-redundant
 nodes as candidates; the naive plan has no seeds and every node as a
-candidate. Paths and cycles need no search. An optimized plan that exhausts
-its candidates is followed by the naive plan, so the answer stays exact.
+candidate. Paths and cycles need no search. In both plans the seeds plus
+all the candidates are a PDS (for the optimized plan: the degree->=3 nodes
+of the contracted component are one, and a redundant node adds nothing to
+the seeds' closure), so the last level always has a hit.
 
 Levels are strict barriers: size k+1 is only searched once every k-subset
 has failed, which is what makes the reported pdn exact. Every level is
@@ -408,11 +410,10 @@ class _LevelScanner:
 # -- component search ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ComponentOutcome:
     contracted_n: int
-    pdn: int = 0
-    pds: Tuple[str, ...] = ()
+    pds: Tuple[str, ...]
     removed: int = 0
     pref_count: int = 0
     d: int = 0
@@ -424,23 +425,20 @@ class _ComponentOutcome:
 
 
 def _search(
-    g: Graph,
-    seeds: Sequence[str],
-    cands: Sequence[str],
-    workers: int,
-    out: _ComponentOutcome,
-) -> bool:
+    g: Graph, seeds: Sequence[str], cands: Sequence[str], workers: int
+) -> Tuple[Tuple[str, ...], int, int]:
     """Test the seeds alone, then the seeds plus each k-combination of the
     candidates for k = 1, 2, ..., exhausting each level before the next.
-    Add the subsets tested and the levels exhausted to out; on success set
-    its pdn and pds (seeds, then the chosen candidates) and return True."""
+    Return the first PDS found (seeds, then the chosen candidates), the
+    subsets tested and the levels exhausted. Both plans make the seeds plus
+    all the candidates a PDS, so running out of levels is an InternalError."""
     adj = g.adjacency
     seed_idx = tuple(g.index_of(v) for v in seeds)
+    checked = 0
     if seeds:
-        out.subsets_checked += 1
+        checked = 1
         if observes_all(adj, seed_idx):
-            out.pdn, out.pds = len(seeds), tuple(seeds)
-            return True
+            return tuple(seeds), checked, 0
     m = len(cands)
     cand_idx = tuple(g.index_of(v) for v in cands)
     with _LevelScanner(adj, seed_idx, cand_idx, workers) as scanner:
@@ -448,52 +446,48 @@ def _search(
             hits = scanner.scan(k, first_only=True)
             if hits:
                 chosen = tuple(cands[p] for p in hits[0])
-                out.subsets_checked += combination_rank(m, hits[0]) + 1
-                out.pdn, out.pds = len(seeds) + k, tuple(seeds) + chosen
-                return True
-            out.subsets_checked += math.comb(m, k)
-            out.levels_completed += 1
-    return False
+                checked += combination_rank(m, hits[0]) + 1
+                return tuple(seeds) + chosen, checked, k - 1
+            checked += math.comb(m, k)
+    raise InternalError("exhausted all subsets without finding a PDS")
 
 
 def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
     n = sub.node_count
     if cfg.mode == "naive":
-        out = _ComponentOutcome(contracted_n=n, candidates=n)
-    elif all(len(a) <= 2 for a in sub.adjacency):
-        # path or cycle: any single node is a PDS
+        pds, checked, levels = _search(sub, (), sorted(sub.nodes, key=label_key), cfg.workers)
         return _ComponentOutcome(
-            contracted_n=n, pdn=1, pds=(min(sub.nodes, key=label_key),), d=n
+            n, pds, candidates=n, subsets_checked=checked, levels_completed=levels
         )
-    else:
-        report = contract(sub)
-        cg = report.contracted
-        prep = preferred_nodes(cg)
-        cands = candidate_list(cg, prep.pref)
-        deg3 = [v for v in cg.nodes if cg.degree(v) >= 3]
-        # Candidates are exactly the degree->=3 nodes that are neither preferred
-        # nor redundant, so the redundant ones among the rest are the difference.
-        free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
-        out = _ComponentOutcome(
-            contracted_n=cg.node_count,
-            removed=len(report.removed),
-            pref_count=len(prep.pref),
-            d=cg.node_count - len(deg3),
-            r=free_deg3 - len(cands),
-            candidates=len(cands),
-            pipeline=PipelineReport(report, prep, tuple(cands)),
-        )
-        seeds = sorted(prep.pref, key=label_key)
-        if _search(cg, seeds, [c.node for c in cands], cfg.workers, out):
-            return out
-        # Candidate levels exhausted without success. This is outside the
-        # pipeline's structural guarantees; fall back to the naive plan so
-        # the answer stays exact, keeping the pre-processing statistics of
-        # the optimized attempt and adding up the subsets both tested.
-        out.levels_completed = 0
-    if not _search(sub, (), sorted(sub.nodes, key=label_key), cfg.workers, out):
-        raise InternalError("exhausted all subsets without finding a PDS")
-    return out
+    if all(len(a) <= 2 for a in sub.adjacency):
+        # path or cycle: any single node is a PDS
+        return _ComponentOutcome(n, (min(sub.nodes, key=label_key),), d=n)
+    report = contract(sub)
+    cg = report.contracted
+    prep = preferred_nodes(cg)
+    cands = candidate_list(cg, prep.pref)
+    deg3 = [v for v in cg.nodes if cg.degree(v) >= 3]
+    # Candidates are exactly the degree->=3 nodes that are neither preferred
+    # nor redundant, so the redundant ones among the rest are the difference.
+    free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
+    # The degree->=3 nodes of cg are a PDS, and a redundant one adds nothing
+    # to the seeds' closure, so the seeds plus all the candidates observe
+    # every node: the last level always has a hit.
+    pds, checked, levels = _search(
+        cg, sorted(prep.pref, key=label_key), [c.node for c in cands], cfg.workers
+    )
+    return _ComponentOutcome(
+        cg.node_count,
+        pds,
+        removed=len(report.removed),
+        pref_count=len(prep.pref),
+        d=cg.node_count - len(deg3),
+        r=free_deg3 - len(cands),
+        candidates=len(cands),
+        subsets_checked=checked,
+        levels_completed=levels,
+        pipeline=PipelineReport(report, prep, tuple(cands)),
+    )
 
 
 # -- public API ------------------------------------------------------------
@@ -508,7 +502,7 @@ def solve(g: Graph, config: Optional[SolverConfig] = None) -> SolveResult:
     cfg = config or SolverConfig()
     comps = connected_components(g)
     outcomes = [_solve_component(g.induced(comp), cfg) for comp in comps]
-    pdn = sum(o.pdn for o in outcomes)
+    pdn = sum(len(o.pds) for o in outcomes)
     pds: Tuple[str, ...] = tuple(v for o in outcomes for v in o.pds)
     if g.node_count and not is_power_dominating_set(g, pds):
         raise InternalError("solver returned a set that fails verification")
@@ -531,7 +525,7 @@ def solve(g: Graph, config: Optional[SolverConfig] = None) -> SolveResult:
     return SolveResult(
         pdn=pdn,
         pds=pds,
-        per_component=tuple((comp, o.pdn, o.pds) for comp, o in zip(comps, outcomes)),
+        per_component=tuple((comp, len(o.pds), o.pds) for comp, o in zip(comps, outcomes)),
         diagnostics=diag,
         pipeline=tuple(o.pipeline for o in outcomes),
     )

@@ -78,6 +78,15 @@ class TestPdnCommand:
         assert code == 2
         assert "error" in err
 
+    def test_broken_reduction_exits_3(self, capsys, monkeypatch):
+        import powerdom.search
+
+        monkeypatch.setattr(powerdom.search, "candidate_list", lambda g, pref: [])
+        code, out, err = run_cli(capsys, "pdn", "--builtin", "ieee39")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: exhausted all subsets without finding a PDS\n"
+
 
 class TestDiagnosticsOutput:
     @pytest.mark.parametrize("command", ["pdn", "minpds", "analyze"])

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from powerdom import (
     Graph,
@@ -17,7 +19,9 @@ from powerdom import (
     redundant_nodes,
 )
 
+from families import structured_graphs
 from oracles import (
+    oracle_is_pds,
     oracle_min_pds_sets,
     oracle_pdn,
     oracle_preferred_nodes,
@@ -313,3 +317,29 @@ class TestCandidateList:
 
     def test_path_has_no_candidates(self, path5):
         assert candidate_list(path5, set()) == []
+
+
+class TestPruningOnFamilies:
+    """Each pruning rule against brute force on the structured families."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(structured_graphs)
+    def test_rules_keep_a_minimum_pds(self, g):
+        assume(any(g.degree(v) >= 3 for v in g.nodes))
+        cg = contract(g).contracted
+        pdn = oracle_pdn(cg)
+        # contraction keeps pdn
+        assert oracle_pdn(g) == pdn
+        # the preferred set as a whole lies inside some minimum PDS
+        pref = preferred_nodes(cg).pref
+        assert any(pref <= s for s in oracle_min_pds_sets(cg))
+        # the redundant and degree-<=2 exclusions keep one too: the least
+        # PDS between pref and pref plus all the candidates has size pdn
+        cands = [c.node for c in candidate_list(cg, pref)]
+        least = next(
+            len(pref) + k
+            for k in range(len(cands) + 1)
+            for extra in itertools.combinations(cands, k)
+            if oracle_is_pds(cg, pref | set(extra))
+        )
+        assert least == pdn

@@ -13,16 +13,22 @@ import powerdom.propagation
 import powerdom.search
 from powerdom import (
     Graph,
+    InternalError,
     ParameterError,
     SolverConfig,
     allminpds,
+    candidate_list,
     combination_rank,
     combination_unrank,
+    connected_components,
+    contract,
     default_workers,
     erdos_renyi_connected,
     is_power_dominating_set,
+    preferred_nodes,
     solve,
     subset_counts,
+    write_edge_list,
 )
 
 from powerdom.propagation import _force_closure, _minimal_fort, observes_all
@@ -644,20 +650,37 @@ class TestFortFilter:
         assert pooled == allminpds(g, SolverConfig(workers=1))
 
 
-class TestFallback:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_empty_candidate_list_falls_back_to_naive(self, ieee39, monkeypatch, workers):
-        import powerdom.search
+def check_plan(g: Graph) -> int:
+    """On each component of g with a degree->=3 node, check that the
+    preferred nodes plus all the candidates of the contracted component are
+    a PDS, and that there are no candidates iff the preferred nodes alone
+    are one; return the number of components checked."""
+    checked = 0
+    for comp in connected_components(g):
+        sub = g.induced(comp)
+        if all(len(a) <= 2 for a in sub.adjacency):
+            continue
+        cg = contract(sub).contracted
+        pref = preferred_nodes(cg).pref
+        cands = [c.node for c in candidate_list(cg, pref)]
+        assert oracle_is_pds(cg, pref | set(cands)), write_edge_list(cg)
+        assert (cands == []) == oracle_is_pds(cg, pref), write_edge_list(cg)
+        checked += 1
+    return checked
 
+
+class TestPlanInvariant:
+    """The seeds plus all the candidates of a plan observe every node, so
+    the search always ends within its candidates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(structured_graphs)
+    def test_preferred_plus_candidates_is_pds(self, g):
+        check_plan(g)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_broken_reduction_raises(self, ieee39, monkeypatch, workers):
         monkeypatch.setattr(powerdom.search, "candidate_list", lambda g, pref: [])
-        res = solve(ieee39, SolverConfig(workers=workers))
-        assert res.pdn == 5
-        assert is_power_dominating_set(ieee39, res.pds)
-        d = res.diagnostics
-        # Pre-processing statistics come from the optimized attempt.
-        assert d.removed_by_contraction == 2
-        assert d.p == 3
-        assert d.d == 19
-        # The failed preferred-set check plus the whole naive search.
-        assert d.subsets_checked == 1 + 95047
-        assert d.levels_completed == 4
+        with pytest.raises(InternalError, match="exhausted all subsets"):
+            solve(ieee39, SolverConfig(workers=workers))
+        assert multiprocessing.active_children() == []
