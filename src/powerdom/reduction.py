@@ -44,10 +44,14 @@ class ScoredCandidate:
     """Node with its search-ordering score.
 
     The score is degree plus a fraction in [0, 1) that grows with distance
-    from the preferred set, so ordering candidates by score is the same as
-    ordering them by sort_key(), (degree, pref_distance) lexicographically.
-    pref_distance None means unreachable (or no preferred nodes), which
-    sorts above every finite distance of the same degree.
+    from the preferred set, or degree + 1 when pref_distance is None
+    (unreachable, or no preferred nodes). sort_key() orders by (degree,
+    pref_distance) lexicographically, with None above every finite distance
+    of the same degree, and refines the score order: a node of degree d at
+    distance None and one of degree d + 1 at distance 0 both score d + 1,
+    and sort_key() puts the second above. The two orders agree on
+    candidate_list's inputs from solve: a component is connected, so its
+    distances are all finite or all None.
     """
 
     node: str
@@ -99,18 +103,17 @@ def contract(g: Graph) -> ContractionReport:
             )
     removed: Dict[int, str] = {}
     added_edges: List[Tuple[int, int]] = []
-    seen_runs = set()
+    # the nodes of the runs walked so far: an interior or cycle run is
+    # reached again from its other end, which is then skipped
+    walked = set()
     for a in range(n):
         if deg[a] < 3:
             continue
         for u in adj[a]:
-            if deg[u] >= 3:
+            if deg[u] >= 3 or u in walked:
                 continue
             run, kind = _walk_run(adj, deg, a, u)
-            key = frozenset(run)
-            if key in seen_runs:
-                continue
-            seen_runs.add(key)
+            walked.update(run)
             if kind == "terminal":
                 for v in run[1:]:
                     removed[v] = "terminal"
@@ -230,9 +233,6 @@ def redundant_nodes(g: Graph, pref: Iterable[str]) -> FrozenSet[str]:
 def qualitative_scores(g: Graph, pref: Iterable[str]) -> Dict[str, ScoredCandidate]:
     """Score every node by degree plus a fraction growing with its distance
     to the nearest preferred node."""
-    pref = set(pref)
-    for v in pref:
-        g.index_of(v)
     dist = multi_source_distances(g, pref)
     return {
         v: ScoredCandidate(node=v, degree=g.degree(v), pref_distance=dist[v])
@@ -247,9 +247,9 @@ def candidate_list(g: Graph, pref: Iterable[str]) -> List[ScoredCandidate]:
     redundant = redundant_nodes(g, pref)
     scores = qualitative_scores(g, pref)
     cands = [
-        scores[v]
-        for v in g.nodes
-        if g.degree(v) >= 3 and v not in pref and v not in redundant
+        c
+        for c in scores.values()
+        if c.degree >= 3 and c.node not in pref and c.node not in redundant
     ]
     cands.sort(key=lambda c: (tuple(-x for x in c.sort_key()), label_key(c.node)))
     return cands

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -217,6 +218,8 @@ _W_FORTS = None
 
 def _worker_init(adj, seeds, cand):
     global _W_PAYLOAD, _W_FORTS
+    # a Ctrl-C stops the scanning thread, which cancels or waits for blocks
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _W_PAYLOAD = (adj, seeds, cand)
     _W_FORTS = _Forts(adj, cand)
 
@@ -398,7 +401,14 @@ class _LevelScanner:
             self._pool = ProcessPoolExecutor(self._workers, fork, _worker_init, self._payload)
         try:
             submit = self._pool.submit
-            window = deque(submit(_scan_task, s) for s in islice(specs, 2 * self._workers))
+            # The first submits start the workers and the executor's threads,
+            # which inherit this mask; a Ctrl-C among them could leave the
+            # executor unaware of a worker, so it is raised once they return.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                window = deque(submit(_scan_task, s) for s in islice(specs, 2 * self._workers))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             while window:
                 block_hits = window.popleft().result()
                 window.extend(submit(_scan_task, s) for s in islice(specs, 1))

@@ -184,6 +184,30 @@ class TestAnalyzeCommand:
         payload = json.loads(out)
         assert "trivial" in payload["analysis"][0]
 
+    def test_plain_text_notes_a_cycle_component(self, capsys, tmp_path):
+        # zim plus a disjoint 4-cycle: the cycle gets the note, zim its reports
+        path = tmp_path / "g.txt"
+        cycle = "c0 c1\nc1 c2\nc2 c3\nc3 c0\n"
+        path.write_text(write_edge_list(builtin_graph("zim")) + cycle)
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--workers", "1")
+        assert code == 0
+        lines = out.splitlines()
+        note = "  path or cycle: any single node is a power dominating set"
+        assert lines.count(note) == 1
+        assert lines[lines.index(note) - 1].endswith(": 4 nodes")
+        assert "pref: ['9']" in out
+        assert "pdn: 3" in out
+
+    def test_plain_text_naive_note(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--builtin", "zim", "--workers", "1", "--mode", "naive"
+        )
+        assert code == 0
+        assert out.splitlines()[1:3] == [
+            "component 0: 11 nodes",
+            "  naive mode: no pre-processing ran; every node was a candidate",
+        ]
+        assert "contraction" not in out and "pref:" not in out
 
     def test_naive_mode_reports_no_preprocessing(self, capsys):
         code, out, _ = run_cli(
@@ -239,6 +263,12 @@ class TestWorkersDeterminism:
         code, _, err = run_cli(capsys, "pdn", "--builtin", "zim", "--workers", w)
         assert code == 2
         assert "workers must be >= 1" in err
+
+    def test_zero_env_value_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PDT_WORKERS", "0")
+        code, out, err = run_cli(capsys, "pdn", "--builtin", "zim")
+        assert (code, out) == (2, "")
+        assert "PDT_WORKERS must be >= 1" in err
 
     def test_bad_env_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PDT_WORKERS", "zero")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerdom import (
     Graph,
@@ -15,6 +17,7 @@ from powerdom import (
 
 from powerdom.propagation import _force_closure, _observe
 
+from families import structured_graphs
 from oracles import oracle_is_pds, oracle_power_dominate, random_graph
 
 
@@ -194,6 +197,16 @@ class TestForcingChains:
                     if (a, b) in log:
                         links.append((a, b))
             assert sorted(links) == sorted(log)
+
+    @settings(max_examples=200, deadline=None)
+    @given(structured_graphs, st.data())
+    def test_pmus_never_force(self, g, data):
+        """The domination step observes a PMU's whole closed neighborhood,
+        so no PMU is left with one unobserved neighbor; forcing_chains
+        relies on this to start every chain at an attributed neighbor."""
+        pmus = data.draw(st.sets(st.sampled_from(sorted(g.nodes))))
+        forcers = {a for a, _ in power_dominate(g, pmus).force_log}
+        assert not forcers & pmus
 
     def test_chain_ends_perform_no_force(self, tadpole):
         log = power_dominate(tadpole, {"v3"}).force_log

@@ -391,20 +391,25 @@ except InternalError as exc:
         assert float(seconds) < 10
         assert left == "0"
 
-    def test_ctrl_c_stops_a_pooled_solve(self):
+    @staticmethod
+    def check_ctrl_c(hook: str, begun: int):
+        """SIGINT to the process group of a child running a pooled naive
+        solve(ieee39) at _CHUNK = 64, sent once begun of its 2 workers have
+        entered powerdom.search.<hook>: the child ends by KeyboardInterrupt
+        within 20 s, with no worker and nothing of its group left."""
         child = children.start(
-            """
+            f"""
 import multiprocessing, os
 import powerdom.search
 from powerdom import SolverConfig, builtin_graph, solve
-real_task = powerdom.search._scan_task
+real = powerdom.search.{hook}
 announced = []
-def announce(spec):
+def announce(*args):
     if not announced:
-        announced.append(spec)
-        os.write(1, b"started\\n")
-    return real_task(spec)
-powerdom.search._scan_task = announce
+        announced.append(args)
+        os.write(1, b"begun\\n")
+    return real(*args)
+powerdom.search.{hook} = announce
 powerdom.search._CHUNK = 64
 try:
     solve(builtin_graph("ieee39"), SolverConfig(workers=2, mode="naive"))
@@ -412,16 +417,26 @@ finally:
     print("workers left:", len(multiprocessing.active_children()))
 """
         )
-        # each worker has begun its first block, so the pool is running
-        assert children.read_lines(child, 2, timeout=20) == ["started\n"] * 2
+        assert children.read_lines(child, begun, timeout=20) == ["begun\n"] * begun
         os.killpg(child.pid, signal.SIGINT)
         out, err = children.finish(child, timeout=20)
         assert child.returncode == -signal.SIGINT, err
         assert err.rstrip().endswith("KeyboardInterrupt")
-        assert out == "workers left: 0\n"
+        # the other worker announces too, since no worker dies of the signal
+        assert out == "begun\n" * (2 - begun) + "workers left: 0\n"
         # and nothing else of the child's process group is left running
         with pytest.raises(ProcessLookupError):
             os.killpg(child.pid, 0)
+
+    def test_ctrl_c_stops_a_pooled_solve(self):
+        # each worker has begun its first block, so the pool is running
+        self.check_ctrl_c("_scan_task", 2)
+
+    def test_early_ctrl_c_stops_a_pooled_solve(self):
+        """A Ctrl-C while the pool is still starting: the first worker has
+        just begun its initializer, and the executor may not yet know the
+        other worker or have started its threads."""
+        self.check_ctrl_c("_worker_init", 1)
 
     def test_import_does_not_load_the_executor(self):
         """concurrent.futures is imported on a pool's first start only, so
