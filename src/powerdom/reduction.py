@@ -1,5 +1,7 @@
 """Pre-processing: contraction of degree-2 runs, preferred-node detection
-via terminal forts, redundant-node elimination, and qualitative scoring."""
+in one pass over the cut nodes (two or more terminal paths are a special
+case of the terminal-fort rule), redundant-node elimination, and
+qualitative scoring."""
 
 from __future__ import annotations
 
@@ -140,18 +142,6 @@ def contract(g: Graph) -> ContractionReport:
 # -- preferred nodes -------------------------------------------------------
 
 
-def _terminal_path_count(adj, deg, i: int) -> int:
-    """Number of maximal leaf-ending degree-2 runs anchored at node i."""
-    count = 0
-    for u in adj[i]:
-        if deg[u] > 2:
-            continue
-        _, kind = _walk_run(adj, deg, i, u)
-        if kind == "terminal":
-            count += 1
-    return count
-
-
 # maps observed flags (0/1) to "unobserved" flags for a _reach seen array
 _UNOBSERVED = bytes([1, 0]) + bytes(254)
 
@@ -159,22 +149,21 @@ _UNOBSERVED = bytes([1, 0]) + bytes(254)
 def preferred_nodes(g: Graph) -> PreferredReport:
     """Detect b-, f-, and p-preferred nodes of a connected graph.
 
-    b-preferred: two or more terminal paths. f-preferred: a cut node whose
-    fully-observed components of g - v (under the process seeded with {v})
-    attach to v by at least two edges in total; the stored fort is that
-    maximal union. p-preferred: the first (label order) f-preferred node for
-    which a single such component attached by >= 2 edges contains another
-    f-preferred node.
+    f-preferred: a cut node whose fully-observed components of g - v (under
+    the process seeded with {v}) attach to v by at least two edges in total;
+    the stored fort is that maximal union. b-preferred: two or more terminal
+    paths, the components of g - v made of degree-<=2 nodes and attached to v
+    by one edge. The node next to v forces along such a path, so it is fully
+    observed, and two of them give the two edges of the f-rule: every
+    b-preferred node is f-preferred. p-preferred: the first (label order)
+    f-preferred node for which a single such component attached by >= 2
+    edges contains another f-preferred node.
     """
     adj = g.adjacency
     n = g.node_count
     if n == 0 or len(_reach(adj, 0, bytearray(n))) != n:
         raise PreconditionError("preferred_nodes requires a connected, nonempty graph")
-    deg = [len(a) for a in adj]
-    b_pref = frozenset(
-        g.label_at(i) for i in range(n) if _terminal_path_count(adj, deg, i) >= 2
-    )
-    f_pref = set()
+    b_pref = set()
     forts: Dict[str, FrozenSet[str]] = {}
     witness_comps: Dict[str, List[FrozenSet[str]]] = {}
     for v in sorted(articulation_points(g), key=label_key):
@@ -194,24 +183,26 @@ def preferred_nodes(g: Graph) -> PreferredReport:
             if all(observed[y] for x in block for y in adj[x]):
                 full.append((block, sum(1 for x in block if x in nbrs)))
         if sum(e for _, e in full) >= 2:
-            f_pref.add(v)
             forts[v] = frozenset(g.label_at(x) for block, _ in full for x in block)
             witness_comps[v] = [
                 frozenset(g.label_at(x) for x in block) for block, e in full if e >= 2
             ]
+            # a full block joined to v by one edge is forced from that edge's
+            # end alone, so it is an induced path ending in a leaf: a terminal path
+            if sum(1 for _, e in full if e == 1) >= 2:
+                b_pref.add(v)
     p_pref = None
-    for v in sorted(f_pref, key=label_key):
-        others = f_pref - {v}
-        if any(c & others for c in witness_comps[v]):
+    for v, comps in witness_comps.items():  # label order, as the loop above
+        others = forts.keys() - {v}
+        if any(c & others for c in comps):
             p_pref = v
             break
-    pref = frozenset({p_pref}) if p_pref is not None else frozenset(b_pref | f_pref)
     return PreferredReport(
-        b_preferred=b_pref,
-        f_preferred=frozenset(f_pref),
+        b_preferred=frozenset(b_pref),
+        f_preferred=frozenset(forts),
         forts=forts,
         p_preferred=p_pref,
-        pref=pref,
+        pref=frozenset({p_pref} if p_pref is not None else forts),
     )
 
 

@@ -480,9 +480,6 @@ def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
     # Candidates are exactly the degree->=3 nodes that are neither preferred
     # nor redundant, so the redundant ones among the rest are the difference.
     free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
-    # The degree->=3 nodes of cg are a PDS, and a redundant one adds nothing
-    # to the seeds' closure, so the seeds plus all the candidates observe
-    # every node: the last level always has a hit.
     pds, checked, levels = _search(
         cg, sorted(prep.pref, key=label_key), [c.node for c in cands], cfg.workers
     )

@@ -99,6 +99,23 @@ class TestGraph6:
         assert back.node_count == 100
         assert back.edge_count == 0
 
+    def test_eight_byte_order_form(self):
+        # "~~" then six 6-bit digits: 0, 0, 0, 0, 0, 63 is order 63, which
+        # write_graph6 gives in the four-byte form "~??~"
+        g = erdos_renyi_connected(63, 0.1, 1)
+        data = write_graph6(g)
+        assert data[:4] == b"~??~"
+        assert parse_graph6(b"~~?????~" + data[4:]) == g
+
+    @pytest.mark.parametrize("data", ["", "~", "~?", "~~?", "~~?????"])
+    def test_empty_or_truncated_order_rejected(self, data):
+        with pytest.raises(FormatError):
+            parse_graph6(data)
+
+    def test_non_ascii_text_rejected(self):
+        with pytest.raises(FormatError, match="^graph6 data must be ASCII$"):
+            parse_graph6("B\u00e9")
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 30), st.integers(1, 30))
     def test_round_trip_random_graphs(self, seed, n):
@@ -175,6 +192,10 @@ class TestErdosRenyi:
     def test_p_zero_rejected(self):
         with pytest.raises(ParameterError):
             erdos_renyi_connected(2, 0.0, 5)
+
+    def test_gives_up_after_max_attempts(self):
+        with pytest.raises(ParameterError, match="after 3 attempts"):
+            erdos_renyi_connected(30, 0.01, 1, max_attempts=3)
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):

@@ -228,6 +228,20 @@ class TestPreferredNodes:
             cut_nodes += len(articulation_points(g))
         assert cut_nodes >= 3 * len(graphs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(structured_graphs)
+    def test_matches_definition_oracle_on_families(self, g):
+        b_pref, f_pref, forts, p_pref, pref = oracle_preferred_nodes(g)
+        rep = preferred_nodes(g)
+        assert rep.b_preferred == b_pref
+        assert rep.f_preferred == f_pref
+        assert rep.forts == forts
+        assert rep.p_preferred == p_pref
+        assert rep.pref == pref
+        # two terminal paths are two fully observed components of g - v
+        # attached by one edge each, so the f-rule holds
+        assert rep.b_preferred <= rep.f_preferred
+
 
 class TestRedundantNodes:
     def test_zim_published_example(self, zim):
