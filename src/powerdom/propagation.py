@@ -8,10 +8,11 @@ by a set of nodes, and costs the degrees of the nodes it newly observes
 (its docstring gives the marking rules). A run from scratch also pays O(n)
 for its zeroed state, and the level search pays O(n) for each copy of a
 state it extends, so a k-subset that shares its first k-1 nodes with the
-previous one pays only for its last node. The collect-all scan pays even
-that only for k-subsets that meet the closed neighborhood of every fort it
-knows; it finds the forts with ``_minimal_fort``, which shrinks the
-unobserved remainder of a failed closed state.
+previous one pays only for its last node. Every scan pays even that only
+for k-subsets that meet the closed neighborhood of every fort it knows; it
+finds the forts with ``_minimal_fort``, which shrinks the unobserved
+remainder of a failed closed state with at most one probe closure per node
+of it, while the nodes shrunk are at most the k-subsets closed.
 """
 
 from __future__ import annotations

@@ -28,17 +28,19 @@ count) and extends it by one candidate, so a k-subset pays for its last
 candidate and a copy of O(n), not for the whole process. The walk keeps
 one state per depth alive.
 
-The collect-all scan behind allminpds also filters by zero-forcing forts
+Every scan, first-hit or collect-all, also filters by zero-forcing forts
 (Smith & Hicks, 2020): a set is a PDS iff it meets the closed neighborhood
 of every fort. The forts are found lazily: a leaf that fails leaves an
 unobserved remainder, which is shrunk to a minimal fort and added to a
 table of bitmasks over the candidates, and a later leaf whose masks do not
 cover every known fort is rejected for one int OR instead of a closure.
-Each process keeps its own table (the scanner's, or one per pool worker),
-so tables differ between workers, but only in the closures they save; the
-hits and their order do not change. First-hit scans find no forts, so
-nothing filters them: there nearly every failure is a new fort, and
-shrinking one costs far more than the closures it saves.
+Shrinking a remainder costs up to one closure per node of it, so a scan
+shrinks one only while the nodes of the remainders its table has shrunk
+are at most the leaves it has closed; past that a failed leaf is just a
+failure. A table lives for one search, so the forts of level k - 1 filter
+level k. Each process keeps its own (the scanner's, or one per pool
+worker), so tables differ between workers, but only in the closures they
+save; the hits and their order do not change.
 """
 
 from __future__ import annotations
@@ -225,17 +227,24 @@ def _worker_init(adj, seeds, cand):
 
 
 class _Forts:
-    """The forts a collect-all scan has found, as bitmasks over candidate
-    positions: bit i of masks[p] is set iff candidate p lies in the closed
-    neighborhood N[F] of fort i, and full has one bit per fort. A set is a
-    PDS iff it meets N[F] for every fort F, so a combination whose masks do
-    not OR to full is no PDS."""
+    """The forts the scans of one search have found, as bitmasks over
+    candidate positions: bit i of masks[p] is set iff candidate p lies in the
+    closed neighborhood N[F] of fort i, and full has one bit per fort. A set
+    is a PDS iff it meets N[F] for every fort F, so a combination whose masks
+    do not OR to full is no PDS.
+
+    closures counts the leaves the scans have closed, and charge the nodes
+    of the remainders they have shrunk: a shrink probes at most one closure
+    per remainder node, so a scan shrinks a remainder only while charge is
+    at most closures."""
 
     def __init__(self, adj, cand):
         self._adj = adj
         self._pos = {v: p for p, v in enumerate(cand)}
         self.masks = [0] * len(cand)
         self.full = 0
+        self.closures = 0
+        self.charge = 0
 
     def add(self, fort: Sequence[int]) -> None:
         bit = self.full + 1
@@ -263,17 +272,18 @@ def _scan_range(
     have failed, so no shorter prefix observes every node.
 
     The leaves are filtered by a table of forts (a fresh one when none is
-    given), to which a collect-all scan adds the forts it finds; a first-hit
-    scan adds none. The walk carries the OR of the prefix's masks, and a
-    leaf whose OR misses a known fort is rejected without a closure. A leaf
-    that passes and still fails leaves a new fort, which is shrunk to a
-    minimal one and added to the table. A prefix is not closed at all when
-    the later candidates cannot make up the forts it misses: one candidate
-    short of a leaf, when no single later candidate does; further up, when
-    all of them together do not. The table only grows, and a new fort is
-    met by no ancestor of the leaf it came from, so the masks on the walk's
-    stack stay exact. Every hit is still a full closure: the filter only
-    rejects."""
+    given). The walk carries the OR of the prefix's masks, and a leaf whose
+    OR misses a known fort is rejected without a closure. A leaf that
+    passes and still fails leaves a new fort; while the table's shrink
+    charge is at most its leaf closures, the fort is shrunk to a minimal
+    one and added, and the charge grows by the nodes it started from, which
+    bound the shrink's probe closures. first_only decides only where the
+    walk stops. A prefix is not closed at all when the later candidates
+    cannot make up the forts it misses: one candidate short of a leaf, when
+    no single later candidate does; further up, when all of them together
+    do not. The table only grows, and a new fort is met by no ancestor of
+    the leaf it came from, so the masks on the walk's stack stay exact.
+    Every hit is still a full closure: the filter only rejects."""
     m, n, d = len(cand), len(adj), k - len(head)
     nbhd = [(v, *adj[v]) for v in cand]
     if forts is None:
@@ -291,11 +301,13 @@ def _scan_range(
                 if mask | cm[p] == full:
                     flags, counters = observed[:], unobs[:]
                     reached = _force_closure(adj, flags, counters, nbhd[p], count)
+                    forts.closures += 1
                     if reached == n:
                         hits.append(prefix + (p,))
                         if first_only:
                             return True
-                    elif not first_only:
+                    elif forts.charge <= forts.closures:
+                        forts.charge += n - reached
                         forts.add(_minimal_fort(adj, flags, counters, reached))
                         full = forts.full
             return False
@@ -357,8 +369,10 @@ class _LevelScanner:
     first-hit scan returns the first block with a hit, which is the
     minimum-rank hit since blocks come back in rank order. Exit cancels the
     blocks not yet started and waits for the running ones to finish, so no
-    worker is killed. The in-process blocks share the scanner's fort table;
-    each pool worker builds its own in _worker_init."""
+    worker is killed. The in-process blocks of every level share the
+    scanner's fort table, first-hit levels included, so the forts of one
+    level filter the next; each pool worker builds its own in _worker_init
+    and keeps it across the levels."""
 
     def __init__(self, adj, seeds, cand, workers: int):
         self._payload = (adj, seeds, cand)

@@ -57,11 +57,19 @@ def finish(child: subprocess.Popen, timeout: float):
 def read_lines(child: subprocess.Popen, count: int, timeout: float):
     """The next count lines of the child's stdout; a child that has not
     written them within timeout seconds is killed with its process group,
-    which ends the read."""
+    which ends the read. The pipe is read a byte at a time, so that what
+    follows the lines stays in it for finish: communicate reads the pipe
+    itself, and would lose what a buffered readline had read ahead."""
     watchdog = threading.Timer(timeout, os.killpg, (child.pid, signal.SIGKILL))
     watchdog.start()
+    data = b""
     try:
-        return [child.stdout.readline() for _ in range(count)]
+        while data.count(b"\n") < count:
+            byte = os.read(child.stdout.fileno(), 1)
+            if not byte:
+                break
+            data += byte
+        return data.decode().splitlines(keepends=True)
     finally:
         # joined, so that no thread is alive when a later test forks
         watchdog.cancel()

@@ -32,7 +32,8 @@ from powerdom import (
 )
 
 from powerdom.propagation import _force_closure, _minimal_fort, observes_all
-from powerdom.search import _Forts, _blocks, _scan_range
+from powerdom.graph import label_key
+from powerdom.search import _Forts, _LevelScanner, _blocks, _scan_range
 
 import children
 from families import structured_graphs
@@ -394,14 +395,16 @@ except InternalError as exc:
     @staticmethod
     def check_ctrl_c(hook: str, begun: int):
         """SIGINT to the process group of a child running a pooled naive
-        solve(ieee39) at _CHUNK = 64, sent once begun of its 2 workers have
-        entered powerdom.search.<hook>: the child ends by KeyboardInterrupt
-        within 20 s, with no worker and nothing of its group left."""
+        solve at _CHUNK = 64, sent once begun of its 2 workers have entered
+        powerdom.search.<hook>: the child ends by KeyboardInterrupt within
+        20 s, with no worker and nothing of its group left. The solve tests
+        765,175 subsets, so it cannot end before the signal: the fort
+        filter makes a naive solve(ieee39), at 95,047, too short for that."""
         child = children.start(
             f"""
 import multiprocessing, os
 import powerdom.search
-from powerdom import SolverConfig, builtin_graph, solve
+from powerdom import SolverConfig, erdos_renyi_connected, solve
 real = powerdom.search.{hook}
 announced = []
 def announce(*args):
@@ -412,7 +415,7 @@ def announce(*args):
 powerdom.search.{hook} = announce
 powerdom.search._CHUNK = 64
 try:
-    solve(builtin_graph("ieee39"), SolverConfig(workers=2, mode="naive"))
+    solve(erdos_renyi_connected(80, 0.05, 2), SolverConfig(workers=2, mode="naive"))
 finally:
     print("workers left:", len(multiprocessing.active_children()))
 """
@@ -576,30 +579,54 @@ class TestScanRange:
 
 
 class TestFortFilter:
-    """A collect-all scan rejects a leaf whose candidates miss the closed
-    neighborhood of a fort it has found, and finds forts by shrinking the
-    remainder of each leaf that passes the filter and still fails."""
+    """Every scan, first-hit or collect-all, rejects a leaf whose candidates
+    miss the closed neighborhood of a fort its table holds. It finds forts
+    by shrinking the remainder of a leaf that passes the filter and still
+    fails, while the table's shrink charge (the nodes of the remainders
+    shrunk) is at most its leaf closures. A search's levels share one
+    table, so the forts of one level filter the next."""
 
-    def check_harvest(self, g, seeds, cand, k):
-        """Scan level k over its blocks with one fort table; check every
-        fort found against the oracle, and that no leaf missing a found
-        fort's closed neighborhood is a PDS. Return the forts found."""
-        adj = g.adjacency
+    def check_harvest(self, g, seeds, cand, k, first_only=False, forts=None):
+        """Scan level k over its blocks with the fort table forts (a fresh
+        one when None), up to the first block with a hit when first_only.
+        Check every fort found against the oracle, that no PDS among the
+        leaves misses a found fort's closed neighborhood, that the hits are
+        those of plain enumeration, and that the shrinking kept its budget:
+        its probe closures are at most the charge it added, and the
+        table's charge is at most its leaf closures plus the n of one
+        shrink. Return the forts found."""
+        adj, n = g.adjacency, g.node_count
+        if forts is None:
+            forts = _Forts(adj, cand)
         found = []
+        charge, probes, shrinking = forts.charge, 0, False
+
+        def counting(*args):
+            nonlocal probes
+            if shrinking:
+                probes += 1
+            return _force_closure(*args)
 
         def recording(*args):
-            fort = _minimal_fort(*args)
+            nonlocal shrinking
+            shrinking = True
+            try:
+                fort = _minimal_fort(*args)
+            finally:
+                shrinking = False
             found.append(fort)
             return fort
 
-        forts = _Forts(adj, cand)
+        hits = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_minimal_fort", recording)
-            hits = [
-                c
-                for b in _blocks(len(cand), k)
-                for c in _scan_range(adj, seeds, cand, k, *b, False, forts)
-            ]
+            mp.setattr(powerdom.propagation, "_force_closure", counting)
+            for b in _blocks(len(cand), k):
+                hits += _scan_range(adj, seeds, cand, k, *b, first_only, forts)
+                if first_only and hits:
+                    break
+        assert probes <= forts.charge - charge
+        assert forts.charge <= forts.closures + n
         label = g.label_at
         nbhds = []
         for fort in found:
@@ -612,7 +639,7 @@ class TestFortFilter:
             if oracle_is_pds(g, chosen):
                 expected.append(c)
                 assert all(not chosen.isdisjoint(nb) for nb in nbhds), sorted(chosen)
-        assert hits == expected
+        assert hits == (expected[:1] if first_only else expected)
         return found
 
     @settings(max_examples=40, deadline=None)
@@ -622,19 +649,88 @@ class TestFortFilter:
         rng.shuffle(order)
         split = min(split, g.node_count - 1)
         seeds, cand = tuple(order[:split]), tuple(order[split:])
-        for k in range(1, min(3, len(cand)) + 1):
-            self.check_harvest(g, seeds, cand, k)
+        for first_only in (False, True):
+            # one table across the levels, as in a search
+            forts = _Forts(g.adjacency, cand)
+            for k in range(1, min(3, len(cand)) + 1):
+                self.check_harvest(g, seeds, cand, k, first_only, forts)
 
     def test_random_graphs(self, monkeypatch):
-        found = 0
-        for seed in range(12):
-            g = random_graph(seed, 9 + seed % 5, 0.25)
-            cand = tuple(range(g.node_count))
-            for k in (1, 2, 3):
+        for first_only in (False, True):
+            found = 0
+            for seed in range(12):
+                g = random_graph(seed, 9 + seed % 5, 0.25)
+                cand = tuple(range(g.node_count))
                 for chunk in (4, 4096):
                     monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
-                    found += len(self.check_harvest(g, (), cand, k))
-        assert found > 0
+                    forts = _Forts(g.adjacency, cand)
+                    for k in (1, 2, 3):
+                        found += len(self.check_harvest(g, (), cand, k, first_only, forts))
+            assert found > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        structured_graphs,
+        st.randoms(use_true_random=False),
+        st.integers(0, 2),
+        st.sampled_from([4, 4096]),
+    )
+    def test_first_hit_levels_match_plain_enumeration(self, g, rng, split, chunk):
+        """A search's first-hit scans of levels 1, 2, ... share the
+        scanner's fort table, and each returns the first PDS of plain
+        enumeration, up to the first level that has one."""
+        order = list(range(g.node_count))
+        rng.shuffle(order)
+        split = min(split, g.node_count - 1)
+        seeds, cand = tuple(order[:split]), tuple(order[split:])
+        self.check_shared_table_levels(g, seeds, cand, chunk, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_hit_levels_on_random_graphs(self, workers):
+        """As above at 4-rank blocks, also on the pool, where each worker
+        keeps its own table across the levels."""
+        for seed in range(12):
+            g = erdos_renyi_connected(10 + 2 * seed, 3 / (10 + 2 * seed), seed)
+            cand = tuple(range(g.node_count))
+            self.check_shared_table_levels(g, (), cand, chunk=4, workers=workers)
+
+    @staticmethod
+    def check_shared_table_levels(g, seeds, cand, chunk, workers):
+        """Scan levels 1, 2, ... first-hit through one _LevelScanner up to
+        the first level with a hit; each level's hit must be the first of
+        plain enumeration, and the scanner's table within the budget."""
+        adj, m = g.adjacency, len(cand)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerdom.search, "_CHUNK", chunk)
+            with _LevelScanner(adj, seeds, cand, workers) as scanner:
+                for k in range(1, m + 1):
+                    first = next(
+                        (
+                            c
+                            for c in itertools.combinations(range(m), k)
+                            if observes_all(adj, seeds + tuple(cand[p] for p in c))
+                        ),
+                        None,
+                    )
+                    assert scanner.scan(k, True) == ([] if first is None else [first])
+                    if first is not None:
+                        break
+            forts = scanner._forts
+        assert forts.charge <= forts.closures + g.node_count
+
+    @pytest.mark.parametrize("mode", ["optimized", "naive"])
+    def test_first_hit_scan_of_ieee39_harvests(self, ieee39, mode):
+        """The first-hit levels of ieee39's search harvest forts, within
+        the budget."""
+        g, seeds, cands = plan(ieee39, mode)
+        seed_idx = tuple(g.index_of(v) for v in seeds)
+        cand_idx = tuple(g.index_of(v) for v in cands)
+        with _LevelScanner(g.adjacency, seed_idx, cand_idx, 1) as scanner:
+            k = next(k for k in itertools.count(1) if scanner.scan(k, True))
+        forts = scanner._forts
+        assert len(seeds) + k == 5
+        assert forts.full > 0
+        assert forts.charge <= forts.closures + g.node_count
 
     def test_filter_rejects_most_leaves(self):
         """Without the filter, allminpds would close all C(35, 4) = 52,360
@@ -665,6 +761,48 @@ class TestFortFilter:
         assert pooled == allminpds(g, SolverConfig(workers=1))
 
 
+def plan(sub: Graph, mode: str = "optimized"):
+    """The graph, seeds and candidates that solve searches on the connected
+    graph sub, which has a degree->=3 node when mode is "optimized"."""
+    if mode == "naive":
+        return sub, [], sorted(sub.nodes, key=label_key)
+    cg = contract(sub).contracted
+    pref = preferred_nodes(cg).pref
+    return cg, sorted(pref, key=label_key), [c.node for c in candidate_list(cg, pref)]
+
+
+def check_first_hit(g: Graph, mode: str = "optimized") -> int:
+    """Check that solve(g) at one worker returns the first PDS in rank
+    order of each component's plain enumeration (the seeds alone, then the
+    seeds plus each k-combination of the candidates in
+    itertools.combinations order, for k = 1, 2, ...) and counts the
+    subsets that enumeration tests; return that count."""
+    pds, checked = [], 0
+    for comp in connected_components(g):
+        sub = g.induced(comp)
+        if mode == "optimized" and all(len(a) <= 2 for a in sub.adjacency):
+            pds.append(min(sub.nodes, key=label_key))
+            continue
+        cg, seeds, cands = plan(sub, mode)
+        adj = cg.adjacency
+        seed_idx = tuple(cg.index_of(v) for v in seeds)
+        cand_idx = [cg.index_of(v) for v in cands]
+        m = len(cands)
+        tested = itertools.chain(
+            [()] if seeds else [],
+            (c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)),
+        )
+        for count, c in enumerate(tested, 1):
+            if observes_all(adj, seed_idx + tuple(cand_idx[p] for p in c)):
+                break
+        checked += count
+        pds += seeds + [cands[p] for p in c]
+    res = solve(g, SolverConfig(workers=1, mode=mode))
+    assert res.pds == tuple(pds), write_edge_list(g)
+    assert res.diagnostics.subsets_checked == checked, write_edge_list(g)
+    return checked
+
+
 def check_plan(g: Graph) -> int:
     """On each component of g with a degree->=3 node, check that the
     preferred nodes plus all the candidates of the contracted component are
@@ -675,11 +813,9 @@ def check_plan(g: Graph) -> int:
         sub = g.induced(comp)
         if all(len(a) <= 2 for a in sub.adjacency):
             continue
-        cg = contract(sub).contracted
-        pref = preferred_nodes(cg).pref
-        cands = [c.node for c in candidate_list(cg, pref)]
-        assert oracle_is_pds(cg, pref | set(cands)), write_edge_list(cg)
-        assert (cands == []) == oracle_is_pds(cg, pref), write_edge_list(cg)
+        cg, seeds, cands = plan(sub)
+        assert oracle_is_pds(cg, seeds + cands), write_edge_list(cg)
+        assert (cands == []) == oracle_is_pds(cg, seeds), write_edge_list(cg)
         checked += 1
     return checked
 
@@ -699,3 +835,20 @@ class TestPlanInvariant:
         with pytest.raises(InternalError, match="exhausted all subsets"):
             solve(ieee39, SolverConfig(workers=workers))
         assert multiprocessing.active_children() == []
+
+
+class TestFirstPds:
+    """solve returns the first PDS in rank order of its plan's plain
+    enumeration and counts the subsets that enumeration tests: the fort
+    filter of the first-hit levels only rejects sets that are no PDS."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(structured_graphs, st.sampled_from(["optimized", "naive"]))
+    def test_solve_returns_the_first_pds_of_its_plan(self, g, mode):
+        check_first_hit(g, mode)
+
+    def test_first_pds_on_random_graphs(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            n = rng.randint(8, 40)
+            check_first_hit(erdos_renyi_connected(n, min(rng.uniform(2.5, 6) / n, 1.0), seed))
