@@ -52,8 +52,9 @@ class ScoredCandidate:
     of the same degree, and refines the score order: a node of degree d at
     distance None and one of degree d + 1 at distance 0 both score d + 1,
     and sort_key() puts the second above. The two orders agree on
-    candidate_list's inputs from solve: a component is connected, so its
-    distances are all finite or all None.
+    candidate_list's output for every graph, connected or not: a candidate
+    is never preferred, so never at distance 0, and the scores of the
+    candidates of degree d all lie in (d, d + 1].
     """
 
     node: str

@@ -11,14 +11,16 @@ of the contracted component are one, and a redundant node adds nothing to
 the seeds' closure), so the last level always has a hit.
 
 Levels are strict barriers: size k+1 is only searched once every k-subset
-has failed, which is what makes the reported pdn exact. Every level is
-scanned as blocks of combinations with common leading candidates, in this
-process or on the pool, and the hits come back in rank order as tuples of
-candidate positions, so the minimum-rank success wins at any worker count.
-The pool is a ProcessPoolExecutor fed in rank order, about two blocks per
-worker ahead. However a pooled scan ends (the level is done, a first hit,
-an error, a dead worker, Ctrl-C), exit cancels the blocks not yet started
-and waits for the running ones; no worker is killed, and a worker that dies
+has failed, which is what makes the reported pdn exact. One function,
+_scan_levels, runs a search's levels: every level is scanned as blocks of
+combinations with common leading candidates, in this process or on the
+pool, and the hits come back in rank order as tuples of candidate
+positions, so the minimum-rank success wins at any worker count. Every
+block runs on one payload, (adj, seeds, cand, forts). The pool is a
+ProcessPoolExecutor fed in rank order, about two blocks per worker ahead.
+However a pooled scan ends (the level is done, a first hit, an error, a
+dead worker, Ctrl-C), its shutdown cancels the blocks not yet started and
+waits for the running ones; no worker is killed, and a worker that dies
 raises InternalError instead of hanging the scan.
 
 A block is scanned as a depth-first walk over its combinations in rank
@@ -37,10 +39,11 @@ cover every known fort is rejected for one int OR instead of a closure.
 Shrinking a remainder costs up to one closure per node of it, so a scan
 shrinks one only while the nodes of the remainders its table has shrunk
 are at most the leaves it has closed; past that a failed leaf is just a
-failure. A table lives for one search, so the forts of level k - 1 filter
-level k. Each process keeps its own (the scanner's, or one per pool
-worker), so tables differ between workers, but only in the closures they
-save; the hits and their order do not change.
+failure. A search has one table, in its payload, so the forts of level
+k - 1 filter level k. A pool worker starts from a copy of it, with the
+forts found before the pool started, and then extends its copy alone, so
+the copies differ between workers, but only in the closures they save;
+the hits and their order do not change.
 """
 
 from __future__ import annotations
@@ -213,17 +216,15 @@ def subset_counts(
 # the most ranks in one block; a level of at most this many is not pooled
 _CHUNK = 4096
 
-# (adj, seeds, cand) of the search a pool worker serves, and its fort table
+# (adj, seeds, cand, forts) of the search a pool worker serves
 _W_PAYLOAD = None
-_W_FORTS = None
 
 
-def _worker_init(adj, seeds, cand):
-    global _W_PAYLOAD, _W_FORTS
+def _worker_init(*payload):
+    global _W_PAYLOAD
     # a Ctrl-C stops the scanning thread, which cancels or waits for blocks
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _W_PAYLOAD = (adj, seeds, cand)
-    _W_FORTS = _Forts(adj, cand)
+    _W_PAYLOAD = payload
 
 
 class _Forts:
@@ -236,7 +237,8 @@ class _Forts:
     closures counts the leaves the scans have closed, and charge the nodes
     of the remainders they have shrunk: a shrink probes at most one closure
     per remainder node, so a scan shrinks a remainder only while charge is
-    at most closures."""
+    at most closures. A search makes one table, which its in-process blocks
+    share and each pool worker copies when it starts."""
 
     def __init__(self, adj, cand):
         self._adj = adj
@@ -256,7 +258,7 @@ class _Forts:
 
 
 def _scan_range(
-    adj, seeds, cand, k, head, lo, hi, first_only, forts: Optional[_Forts] = None
+    adj, seeds, cand, forts: _Forts, k, head, lo, hi, first_only
 ) -> List[Tuple[int, ...]]:
     """Test the k-combinations of candidate positions that begin with head
     and then a position in [lo, hi), each added to the seeds; return the
@@ -271,8 +273,8 @@ def _scan_range(
     leaf observes every node. Only leaves are tested: the levels below k
     have failed, so no shorter prefix observes every node.
 
-    The leaves are filtered by a table of forts (a fresh one when none is
-    given). The walk carries the OR of the prefix's masks, and a leaf whose
+    The leaves are filtered by forts, the search's table, which the walk
+    extends. The walk carries the OR of the prefix's masks, and a leaf whose
     OR misses a known fort is rejected without a closure. A leaf that
     passes and still fails leaves a new fort; while the table's shrink
     charge is at most its leaf closures, the fort is shrunk to a minimal
@@ -286,8 +288,6 @@ def _scan_range(
     Every hit is still a full closure: the filter only rejects."""
     m, n, d = len(cand), len(adj), k - len(head)
     nbhd = [(v, *adj[v]) for v in cand]
-    if forts is None:
-        forts = _Forts(adj, cand)
     cm = forts.masks
     hits: List[Tuple[int, ...]] = []
 
@@ -358,77 +358,72 @@ def _blocks(m: int, k: int, head: Tuple[int, ...] = (), i: int = 0):
 
 
 def _scan_task(spec):
-    return _scan_range(*_W_PAYLOAD, *spec, _W_FORTS)
+    return _scan_range(*_W_PAYLOAD, *spec)
 
 
-class _LevelScanner:
-    """Scans levels of k-combinations of candidate positions, each added to
-    the seeds, as _blocks: on a fork process pool when workers > 1 and the
-    level has more than _CHUNK ranks, otherwise in this process. The pool is
-    started on first need with the payload and lives for one search. A
-    first-hit scan returns the first block with a hit, which is the
-    minimum-rank hit since blocks come back in rank order. Exit cancels the
-    blocks not yet started and waits for the running ones to finish, so no
-    worker is killed. The in-process blocks of every level share the
-    scanner's fort table, first-hit levels included, so the forts of one
-    level filter the next; each pool worker builds its own in _worker_init
-    and keeps it across the levels."""
+def _scan_levels(adj, seeds, cand, levels, first_only: bool, workers: int):
+    """Scan the levels in order, each the k-combinations of candidate
+    positions added to the seeds and each a barrier for the next. Return
+    (k, hits) for the first level with a hit, its successful combinations
+    in rank order (only the first when first_only), or None.
 
-    def __init__(self, adj, seeds, cand, workers: int):
-        self._payload = (adj, seeds, cand)
-        self._forts = _Forts(adj, cand)
-        self._m = len(cand)
-        self._workers = workers
-        self._pool = None
+    A level runs as _blocks, on a fork process pool when workers > 1 and it
+    has more than _CHUNK ranks, else in this process, and every block runs
+    on one payload, (adj, seeds, cand, forts). The pool starts on first need
+    with that payload, so a worker starts from the forts found so far and
+    extends its own copy after that. Blocks come back in rank order, so a
+    first-hit level ends at its minimum-rank hit. However the scan ends, the
+    pool's shutdown cancels the blocks not yet started and waits for the
+    running ones, so no worker is killed."""
+    payload = (adj, seeds, cand, _Forts(adj, cand))
+    m = len(cand)
+    pool = None
+    try:
+        for k in levels:
+            specs = ((k, *block, first_only) for block in _blocks(m, k))
+            if workers > 1 and math.comb(m, k) > _CHUNK:
+                if pool is None:
+                    # imported here: at module top it would slow `import powerdom`
+                    from concurrent.futures.process import ProcessPoolExecutor
 
-    def __enter__(self) -> "_LevelScanner":
-        return self
+                    fork = multiprocessing.get_context("fork")
+                    pool = ProcessPoolExecutor(workers, fork, _worker_init, payload)
+                results = _pooled(pool, workers, specs)
+            else:
+                results = (_scan_range(*payload, *spec) for spec in specs)
+            hits: List[Tuple[int, ...]] = []
+            for block_hits in results:
+                hits += block_hits
+                if first_only and hits:
+                    break
+            if hits:
+                return k, hits
+        return None
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
 
-    def scan(self, k: int, first_only: bool) -> List[Tuple[int, ...]]:
-        """Successful combinations of positions of level k, in rank order."""
-        specs = ((k, *block, first_only) for block in _blocks(self._m, k))
-        if self._workers > 1 and math.comb(self._m, k) > _CHUNK:
-            results = self._pooled(specs)
-        else:
-            results = (
-                _scan_range(*self._payload, *spec, self._forts) for spec in specs
-            )
-        hits: List[Tuple[int, ...]] = []
-        for block_hits in results:
-            if first_only and block_hits:
-                return block_hits
-            hits.extend(block_hits)
-        return hits
+def _pooled(pool, workers: int, specs):
+    """The specs' results from the pool, in order. Two blocks per worker are
+    submitted ahead, and one more each time a result is taken."""
+    from concurrent.futures.process import BrokenProcessPool
 
-    def _pooled(self, specs):
-        """The specs' results from the pool, in order. Two blocks per worker
-        are submitted ahead, and one more each time a result is taken."""
-        # imported here: at module top it would slow `import powerdom`
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        if self._pool is None:
-            fork = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(self._workers, fork, _worker_init, self._payload)
+    try:
+        # The first submits start the workers and the executor's threads,
+        # which inherit this mask; a Ctrl-C among them could leave the
+        # executor unaware of a worker, so it is raised once they return.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            submit = self._pool.submit
-            # The first submits start the workers and the executor's threads,
-            # which inherit this mask; a Ctrl-C among them could leave the
-            # executor unaware of a worker, so it is raised once they return.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                window = deque(submit(_scan_task, s) for s in islice(specs, 2 * self._workers))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            while window:
-                block_hits = window.popleft().result()
-                window.extend(submit(_scan_task, s) for s in islice(specs, 1))
-                yield block_hits
-        except BrokenProcessPool as exc:
-            raise InternalError("a pool worker died") from exc
+            window = deque(pool.submit(_scan_task, s) for s in islice(specs, 2 * workers))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while window:
+            block_hits = window.popleft().result()
+            window.extend(pool.submit(_scan_task, s) for s in islice(specs, 1))
+            yield block_hits
+    except BrokenProcessPool as exc:
+        raise InternalError("a pool worker died") from exc
 
 
 # -- component search ------------------------------------------------------
@@ -458,22 +453,18 @@ def _search(
     all the candidates a PDS, so running out of levels is an InternalError."""
     adj = g.adjacency
     seed_idx = tuple(g.index_of(v) for v in seeds)
-    checked = 0
-    if seeds:
-        checked = 1
-        if observes_all(adj, seed_idx):
-            return tuple(seeds), checked, 0
+    if seeds and observes_all(adj, seed_idx):
+        return tuple(seeds), 1, 0
     m = len(cands)
     cand_idx = tuple(g.index_of(v) for v in cands)
-    with _LevelScanner(adj, seed_idx, cand_idx, workers) as scanner:
-        for k in range(1, m + 1):
-            hits = scanner.scan(k, first_only=True)
-            if hits:
-                chosen = tuple(cands[p] for p in hits[0])
-                checked += combination_rank(m, hits[0]) + 1
-                return tuple(seeds) + chosen, checked, k - 1
-            checked += math.comb(m, k)
-    raise InternalError("exhausted all subsets without finding a PDS")
+    found = _scan_levels(adj, seed_idx, cand_idx, range(1, m + 1), True, workers)
+    if found is None:
+        raise InternalError("exhausted all subsets without finding a PDS")
+    k, (hit,) = found
+    # the seeds alone, every set of the failed levels, and level k up to the hit
+    checked = bool(seeds) + sum(math.comb(m, j) for j in range(1, k))
+    checked += combination_rank(m, hit) + 1
+    return tuple(seeds) + tuple(cands[p] for p in hit), checked, k - 1
 
 
 def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
@@ -561,6 +552,5 @@ def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet
     k = solve(g, cfg).pdn
     labels = sorted(g.nodes, key=label_key)
     idx = tuple(g.index_of(v) for v in labels)
-    with _LevelScanner(g.adjacency, (), idx, cfg.workers) as scanner:
-        hits = scanner.scan(k, first_only=False)
+    _, hits = _scan_levels(g.adjacency, (), idx, (k,), False, cfg.workers)
     return [frozenset(labels[p] for p in hit) for hit in hits]

@@ -53,6 +53,19 @@ class TestPdnCommand:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_empty_file_prints_zero(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_bytes(b"")
+        assert run_cli(capsys, "pdn", str(path), "--workers", "1") == (0, "0\n", "")
+
+    def test_non_utf8_edge_list_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\u00e9 1\n1 2\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "pdn", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not valid UTF-8" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "pdn", str(tmp_path / "none.txt"))
         assert code == 2

@@ -45,6 +45,13 @@ class TestGraphBasics:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(NotFoundError):
             Graph(["a"], [("a", "b")])
+        with pytest.raises(NotFoundError):
+            Graph(["a"], [("b", "a")])
+
+    @pytest.mark.parametrize("label", [1, None, b"a"])
+    def test_non_string_label_rejected(self, label):
+        with pytest.raises(ParameterError, match="must be a string"):
+            Graph(["a", label])
 
     def test_induced_subgraph(self, zim):
         sub = zim.induced({"9", "10", "11"})
@@ -259,3 +266,7 @@ class TestBfsDistances:
     def test_unknown_source(self, zim):
         with pytest.raises(NotFoundError):
             bfs_distances(zim, "99")
+
+    def test_unknown_target(self, zim):
+        with pytest.raises(NotFoundError, match="unknown node '99'"):
+            bfs_distances(zim, "2").distance("99")

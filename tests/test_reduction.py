@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powerdom import (
     Graph,
@@ -18,6 +19,8 @@ from powerdom import (
     qualitative_scores,
     redundant_nodes,
 )
+
+from powerdom.graph import label_key
 
 from families import structured_graphs
 from oracles import (
@@ -331,6 +334,22 @@ class TestCandidateList:
 
     def test_path_has_no_candidates(self, path5):
         assert candidate_list(path5, set()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(structured_graphs, structured_graphs, st.randoms(use_true_random=False))
+    def test_sort_key_order_is_score_order(self, a, b, rng):
+        """On any graph, connected or not, candidate_list's order is
+        descending score with ties by label: a candidate is never preferred,
+        so never at distance 0. The union of two graphs with up to two
+        preferred nodes in the first mixes finite and None distances."""
+        g = Graph(
+            [f"a{v}" for v in a.nodes] + [f"b{v}" for v in b.nodes],
+            [(f"a{u}", f"a{v}") for u, v in a.edges()]
+            + [(f"b{u}", f"b{v}") for u, v in b.edges()],
+        )
+        pref = {f"a{v}" for v in rng.sample(a.nodes, rng.randint(0, 2))}
+        cands = candidate_list(g, pref)
+        assert sorted(cands, key=lambda c: (-c.score, label_key(c.node))) == cands
 
 
 class TestPruningOnFamilies:

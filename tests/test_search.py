@@ -33,7 +33,7 @@ from powerdom import (
 
 from powerdom.propagation import _force_closure, _minimal_fort, observes_all
 from powerdom.graph import label_key
-from powerdom.search import _Forts, _LevelScanner, _blocks, _scan_range
+from powerdom.search import _Forts, _blocks, _scan_levels, _scan_range
 
 import children
 from families import structured_graphs
@@ -56,6 +56,15 @@ class TestCombinatorics:
     def test_rank_out_of_range(self):
         with pytest.raises(ParameterError):
             combination_unrank(4, 2, 6)
+
+    def test_unrank_size_over_n(self):
+        with pytest.raises(ParameterError, match="0 <= k <= n"):
+            combination_unrank(3, 4, 0)
+
+    @pytest.mark.parametrize("combo", [[2, 1], [1, 1], [0, 5], [-1, 2]])
+    def test_rank_of_invalid_combination(self, combo):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            combination_rank(5, combo)
 
     def test_bijection_exhaustive_up_to_n12(self):
         for n in range(13):
@@ -90,6 +99,10 @@ class TestSubsetCounts:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             subset_counts(5, -1, 5, 0, 0, 0)
+
+    def test_excluded_over_contracted_total_rejected(self):
+        with pytest.raises(ParameterError, match="exceeds contracted node count"):
+            subset_counts(10, 2, 5, 2, 2, 2)
 
 
 class TestSolve:
@@ -178,6 +191,16 @@ class TestSolve:
             assert is_power_dominating_set(g, opt.pds)
             assert is_power_dominating_set(g, naive.pds)
             checked += 1
+
+    def test_failed_verification_raises(self, zim, monkeypatch):
+        # a component solver that returns no PDS is caught before the result
+        monkeypatch.setattr(
+            powerdom.search,
+            "_solve_component",
+            lambda sub, cfg: powerdom.search._ComponentOutcome(sub.node_count, ("9",)),
+        )
+        with pytest.raises(InternalError, match="fails verification"):
+            solve(zim)
 
     def test_invalid_config(self):
         with pytest.raises(ParameterError):
@@ -269,8 +292,8 @@ class TestPoolDecision:
 
     def scan(self, g, k, workers, first_only=False):
         idx = tuple(range(g.node_count))
-        with powerdom.search._LevelScanner(g.adjacency, (), idx, workers) as scanner:
-            return scanner.scan(k, first_only)
+        found = _scan_levels(g.adjacency, (), idx, (k,), first_only, workers)
+        return [] if found is None else found[1]
 
     @pytest.mark.parametrize("chunk", [55, 4096])
     def test_level_within_one_chunk_stays_in_process(self, zim, contexts, monkeypatch, chunk):
@@ -307,7 +330,7 @@ class TestPoolDecision:
         calls = []
 
         def spy(*args):
-            calls.append(args[4:7])
+            calls.append(args[5:8])
             return _scan_range(*args)
 
         for first_only in (False, True):
@@ -317,7 +340,8 @@ class TestPoolDecision:
                 mp.setattr(powerdom.search, "_scan_range", spy)
                 specs = list(_blocks(m, k))
                 hits = self.scan(g, k, workers=1, first_only=first_only)
-            assert hits == _scan_range(adj, (), idx, k, (), 0, m - k + 1, first_only)
+            whole = _scan_range(adj, (), idx, _Forts(adj, idx), k, (), 0, m - k + 1, first_only)
+            assert hits == whole
             scanned = len(specs)
             if first_only and hits:
                 c = hits[0]
@@ -347,8 +371,57 @@ class TestPoolDecision:
         assert pooled == allminpds(zim, SolverConfig(workers=1))
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def recorded_initargs(monkeypatch):
+        """Patch the executor class that the pool is made from to record
+        each pool's initargs, with the table's fort bits at that time."""
+        import concurrent.futures.process as process
+
+        made = []
+
+        class Recording(process.ProcessPoolExecutor):
+            def __init__(self, workers, context, initializer, initargs):
+                made.append((initargs, getattr(initargs[-1], "full", None)))
+                super().__init__(workers, context, initializer, initargs)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+        return made
+
+    def test_workers_start_from_the_search_table(self, ieee39, monkeypatch):
+        """A naive solve of ieee39 at 64-rank blocks scans level 1 (39
+        ranks) in this process and pools level 2, so the pool's workers
+        start with the forts that level 1 found."""
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+        made = self.recorded_initargs(monkeypatch)
+        res = solve(ieee39, SolverConfig(workers=2, mode="naive"))
+        assert res.pdn == 5
+        ((initargs, full),) = made
+        assert len(initargs) == 4 and isinstance(initargs[-1], _Forts)
+        assert full != 0
+        assert multiprocessing.active_children() == []
+
+    def test_pool_table_survives_spawn(self, ieee39, monkeypatch):
+        """A non-empty fort table reaches spawned workers by pickling, and
+        the pooled solve equals the one at one worker."""
+        real = multiprocessing.get_context
+        monkeypatch.setattr(
+            powerdom.search.multiprocessing, "get_context", lambda method=None: real("spawn")
+        )
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+        made = self.recorded_initargs(monkeypatch)
+        pooled = solve(ieee39, SolverConfig(workers=2, mode="naive"))
+        ((initargs, full),) = made
+        assert isinstance(initargs[-1], _Forts) and full != 0
+        serial = solve(ieee39, SolverConfig(workers=1, mode="naive"))
+        assert (pooled.pdn, pooled.pds) == (serial.pdn, serial.pds)
+        assert pooled.diagnostics == serial.diagnostics
+        assert pooled.diagnostics.subsets_checked == 95047
+        assert multiprocessing.active_children() == []
+
     def test_first_hit_pooled_solve_leaves_no_worker(self, ieee39, monkeypatch):
-        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        # 64-rank blocks: levels 2-5 are pooled, and level 5's hit comes
+        # with blocks still in flight
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
         assert solve(ieee39, SolverConfig(workers=2, mode="naive")).pdn == 5
         assert multiprocessing.active_children() == []
 
@@ -469,8 +542,8 @@ class TestScanRange:
         def scan(k, blocks, first_only=False):
             return [
                 c
-                for head, lo, hi in blocks
-                for c in _scan_range(adj, seeds, cand, k, head, lo, hi, first_only)
+                for block in blocks
+                for c in _scan_range(adj, seeds, cand, _Forts(adj, cand), k, *block, first_only)
             ]
 
         for k in (1, 2, 3):
@@ -515,9 +588,11 @@ class TestScanRange:
                 # one fort table across the blocks, as in a pool worker
                 forts = _Forts(adj, cand)
                 full = [
-                    _scan_range(adj, seeds, cand, k, *b, False, forts) for b in blocks
+                    _scan_range(adj, seeds, cand, forts, k, *b, False) for b in blocks
                 ]
-                firsts = [_scan_range(adj, seeds, cand, k, *b, True) for b in blocks]
+                firsts = [
+                    _scan_range(adj, seeds, cand, _Forts(adj, cand), k, *b, True) for b in blocks
+                ]
                 assert [c for hits in full for c in hits] == expected
                 assert firsts == [hits[:1] for hits in full]
                 assert next((hits for hits in firsts if hits), []) == expected[:1]
@@ -572,7 +647,7 @@ class TestScanRange:
                 hits = [
                     c
                     for b in _blocks(m, k)
-                    for c in _scan_range(adj, seeds, cand, k, *b, False)
+                    for c in _scan_range(adj, seeds, cand, _Forts(adj, cand), k, *b, False)
                 ]
             assert hits == expected
             assert closures.count(n) == len(hits)
@@ -622,7 +697,7 @@ class TestFortFilter:
             mp.setattr(powerdom.search, "_minimal_fort", recording)
             mp.setattr(powerdom.propagation, "_force_closure", counting)
             for b in _blocks(len(cand), k):
-                hits += _scan_range(adj, seeds, cand, k, *b, first_only, forts)
+                hits += _scan_range(adj, seeds, cand, forts, k, *b, first_only)
                 if first_only and hits:
                     break
         assert probes <= forts.charge - charge
@@ -676,9 +751,9 @@ class TestFortFilter:
         st.sampled_from([4, 4096]),
     )
     def test_first_hit_levels_match_plain_enumeration(self, g, rng, split, chunk):
-        """A search's first-hit scans of levels 1, 2, ... share the
-        scanner's fort table, and each returns the first PDS of plain
-        enumeration, up to the first level that has one."""
+        """A search's first-hit scans of levels 1, 2, ... share one fort
+        table, and the first level with a hit returns the first PDS of
+        plain enumeration."""
         order = list(range(g.node_count))
         rng.shuffle(order)
         split = min(split, g.node_count - 1)
@@ -688,34 +763,47 @@ class TestFortFilter:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_hit_levels_on_random_graphs(self, workers):
         """As above at 4-rank blocks, also on the pool, where each worker
-        keeps its own table across the levels."""
+        starts from the search's table and keeps its copy across the
+        levels."""
         for seed in range(12):
             g = erdos_renyi_connected(10 + 2 * seed, 3 / (10 + 2 * seed), seed)
             cand = tuple(range(g.node_count))
             self.check_shared_table_levels(g, (), cand, chunk=4, workers=workers)
 
     @staticmethod
-    def check_shared_table_levels(g, seeds, cand, chunk, workers):
-        """Scan levels 1, 2, ... first-hit through one _LevelScanner up to
-        the first level with a hit; each level's hit must be the first of
-        plain enumeration, and the scanner's table within the budget."""
+    def recorded_tables(mp):
+        """Patch search._Forts to record every table a search makes; return
+        the list they are appended to."""
+        tables = []
+
+        class Recording(_Forts):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        mp.setattr(powerdom.search, "_Forts", Recording)
+        return tables
+
+    @classmethod
+    def check_shared_table_levels(cls, g, seeds, cand, chunk, workers):
+        """Scan levels 1, 2, ... first-hit in one _scan_levels call: it must
+        return the first level where plain enumeration finds a PDS and that
+        level's first PDS, with the search's one table within the budget."""
         adj, m = g.adjacency, len(cand)
+        first = next(
+            (
+                (k, [c])
+                for k in range(1, m + 1)
+                for c in itertools.combinations(range(m), k)
+                if observes_all(adj, seeds + tuple(cand[p] for p in c))
+            ),
+            None,
+        )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_CHUNK", chunk)
-            with _LevelScanner(adj, seeds, cand, workers) as scanner:
-                for k in range(1, m + 1):
-                    first = next(
-                        (
-                            c
-                            for c in itertools.combinations(range(m), k)
-                            if observes_all(adj, seeds + tuple(cand[p] for p in c))
-                        ),
-                        None,
-                    )
-                    assert scanner.scan(k, True) == ([] if first is None else [first])
-                    if first is not None:
-                        break
-            forts = scanner._forts
+            tables = cls.recorded_tables(mp)
+            assert _scan_levels(adj, seeds, cand, range(1, m + 1), True, workers) == first
+        (forts,) = tables
         assert forts.charge <= forts.closures + g.node_count
 
     @pytest.mark.parametrize("mode", ["optimized", "naive"])
@@ -725,9 +813,11 @@ class TestFortFilter:
         g, seeds, cands = plan(ieee39, mode)
         seed_idx = tuple(g.index_of(v) for v in seeds)
         cand_idx = tuple(g.index_of(v) for v in cands)
-        with _LevelScanner(g.adjacency, seed_idx, cand_idx, 1) as scanner:
-            k = next(k for k in itertools.count(1) if scanner.scan(k, True))
-        forts = scanner._forts
+        levels = range(1, len(cands) + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            tables = self.recorded_tables(mp)
+            k, _ = _scan_levels(g.adjacency, seed_idx, cand_idx, levels, True, 1)
+        (forts,) = tables
         assert len(seeds) + k == 5
         assert forts.full > 0
         assert forts.charge <= forts.closures + g.node_count
@@ -747,14 +837,14 @@ class TestFortFilter:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_force_closure", counting)
-            hits = _scan_range(adj, (), cand, 4, (), 0, 35 - 4 + 1, False)
+            hits = _scan_range(adj, (), cand, _Forts(adj, cand), 4, (), 0, 35 - 4 + 1, False)
         assert len(hits) == len(allminpds(g))
         assert closures < math.comb(35, 4) // 10
 
     @settings(max_examples=25, deadline=None)
     @given(structured_graphs)
     def test_pooled_allminpds_matches_in_process(self, g):
-        # each worker finds its own forts, so only the closures differ
+        # each worker extends its own copy of the table, so only the closures differ
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_CHUNK", 4)
             pooled = allminpds(g, SolverConfig(workers=2))
