@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import FormatError, NotFoundError, ParameterError
 
@@ -125,14 +125,19 @@ class Graph:
     def induced(self, labels: Iterable[str]) -> "Graph":
         """Induced subgraph on the given labels, preserving label order. A
         graph is immutable, so keeping every node returns the graph itself."""
-        keep = set(labels)
-        for lab in keep:
-            self.index_of(lab)
+        keep = sorted({self.index_of(lab) for lab in labels})
         if len(keep) == len(self._labels):
             return self
-        sub_labels = [lab for lab in self._labels if lab in keep]
-        sub_edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
-        return Graph(sub_labels, sub_edges)
+        return self._subgraph(keep)
+
+    def _subgraph(self, keep: Sequence[int], extra: Iterable[Tuple[int, int]] = ()) -> "Graph":
+        """Graph on the kept indices, in that order, with the edges among
+        them plus the extra index pairs."""
+        labels, adj = self._labels, self._adj
+        kept = set(keep)
+        edges = [(labels[i], labels[j]) for i in keep for j in adj[i] if i < j and j in kept]
+        edges.extend((labels[i], labels[j]) for i, j in extra)
+        return Graph([labels[i] for i in keep], edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

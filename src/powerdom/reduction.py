@@ -1,7 +1,8 @@
-"""Pre-processing: contraction of degree-2 runs, preferred-node detection
-in one pass over the cut nodes (two or more terminal paths are a special
-case of the terminal-fort rule), redundant-node elimination, and
-qualitative scoring."""
+"""Pre-processing: contraction of degree-2 runs (the kept nodes and the
+shortcut edges form one Graph._subgraph), preferred-node detection in one
+pass over the cut nodes (two or more terminal paths are a special case of
+the terminal-fort rule), redundant-node elimination, and qualitative
+scoring, whose score alone orders the candidates."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .graph import Graph, _reach, connected_components, articulation_points, label_key, multi_source_distances
+from .graph import Graph, _reach, articulation_points, label_key, multi_source_distances
 from .propagation import _observe
 
 __all__ = [
@@ -43,18 +44,13 @@ class PreferredReport:
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    """Node with its search-ordering score.
+    """Node with its search-ordering score: candidate_list sorts by it.
 
     The score is degree plus a fraction in [0, 1) that grows with distance
     from the preferred set, or degree + 1 when pref_distance is None
-    (unreachable, or no preferred nodes). sort_key() orders by (degree,
-    pref_distance) lexicographically, with None above every finite distance
-    of the same degree, and refines the score order: a node of degree d at
-    distance None and one of degree d + 1 at distance 0 both score d + 1,
-    and sort_key() puts the second above. The two orders agree on
-    candidate_list's output for every graph, connected or not: a candidate
-    is never preferred, so never at distance 0, and the scores of the
-    candidates of degree d all lie in (d, d + 1].
+    (unreachable, or no preferred nodes). A candidate is never preferred,
+    so never at distance 0, and the scores of the candidates of degree d
+    all lie in (d, d + 1].
     """
 
     node: str
@@ -66,10 +62,6 @@ class ScoredCandidate:
         if self.pref_distance is None:
             return Fraction(self.degree + 1)
         return self.degree + 1 - Fraction(1, self.pref_distance + 1)
-
-    def sort_key(self):
-        d = float("inf") if self.pref_distance is None else self.pref_distance
-        return (self.degree, d)
 
 
 # -- contraction -----------------------------------------------------------
@@ -99,8 +91,9 @@ def contract(g: Graph) -> ContractionReport:
     adj = g.adjacency
     n = g.node_count
     deg = [len(a) for a in adj]
-    for comp in connected_components(g):
-        if not any(deg[g.index_of(v)] >= 3 for v in comp):
+    seen = bytearray(n)
+    for start in range(n):
+        if not seen[start] and all(deg[i] < 3 for i in _reach(adj, start, seen)):
             raise PreconditionError(
                 "contract requires every component to contain a node of degree >= 3"
             )
@@ -124,17 +117,8 @@ def contract(g: Graph) -> ContractionReport:
                 for v in run[1:-1]:
                     removed[v] = "non_terminal"
                 added_edges.append((run[0], run[-1]))
-    keep = [i for i in range(n) if i not in removed]
-    keep_set = set(keep)
-    labels = [g.label_at(i) for i in keep]
-    edges = [
-        (g.label_at(i), g.label_at(j))
-        for i, j in g.edges_by_index()
-        if i in keep_set and j in keep_set
-    ]
-    edges.extend((g.label_at(i), g.label_at(j)) for i, j in added_edges)
     return ContractionReport(
-        contracted=Graph(labels, edges),
+        contracted=g._subgraph([i for i in range(n) if i not in removed], added_edges),
         removed=frozenset(g.label_at(i) for i in removed),
         rules={g.label_at(i): tag for i, tag in removed.items()},
     )
@@ -243,5 +227,5 @@ def candidate_list(g: Graph, pref: Iterable[str]) -> List[ScoredCandidate]:
         for c in scores.values()
         if c.degree >= 3 and c.node not in pref and c.node not in redundant
     ]
-    cands.sort(key=lambda c: (tuple(-x for x in c.sort_key()), label_key(c.node)))
+    cands.sort(key=lambda c: (-c.score, label_key(c.node)))
     return cands

@@ -481,10 +481,7 @@ def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
     cg = report.contracted
     prep = preferred_nodes(cg)
     cands = candidate_list(cg, prep.pref)
-    deg3 = [v for v in cg.nodes if cg.degree(v) >= 3]
-    # Candidates are exactly the degree->=3 nodes that are neither preferred
-    # nor redundant, so the redundant ones among the rest are the difference.
-    free_deg3 = sum(1 for v in deg3 if v not in prep.pref)
+    deg3 = sum(1 for a in cg.adjacency if len(a) >= 3)
     pds, checked, levels = _search(
         cg, sorted(prep.pref, key=label_key), [c.node for c in cands], cfg.workers
     )
@@ -493,8 +490,9 @@ def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
         pds,
         removed=len(report.removed),
         pref_count=len(prep.pref),
-        d=cg.node_count - len(deg3),
-        r=free_deg3 - len(cands),
+        d=cg.node_count - deg3,
+        # preferred nodes have degree >= 3: a degree-2 one needs two terminal paths
+        r=deg3 - len(prep.pref) - len(cands),
         candidates=len(cands),
         subsets_checked=checked,
         levels_completed=levels,

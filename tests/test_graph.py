@@ -62,6 +62,20 @@ class TestGraphBasics:
         assert zim.induced(zim.nodes) is zim
         assert zim.induced(reversed(zim.nodes)) is zim
 
+    def test_induced_keeps_the_parent_label_order_and_edges(self):
+        g = Graph(["d", "b", "e", "a", "c"],
+                  [("d", "a"), ("b", "e"), ("e", "a"), ("a", "c"), ("c", "d")])
+        sub = g.induced(["a", "c", "e", "d"])
+        assert sub.nodes == ("d", "e", "a", "c")
+        assert set(map(frozenset, sub.edges())) == {
+            frozenset(e) for e in [("d", "a"), ("e", "a"), ("a", "c"), ("c", "d")]
+        }
+        assert sub.edge_count == 4
+
+    def test_induced_on_an_unknown_label_rejected(self, zim):
+        with pytest.raises(NotFoundError):
+            zim.induced(["9", "nope"])
+
 
 class TestGraph6:
     def test_k3_decodes_from_hand_encoded_bytes(self):

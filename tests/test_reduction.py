@@ -65,6 +65,11 @@ def tree_with_pendant_paths(rng):
     return Graph(labels, edges)
 
 
+def degree_distance_key(c):
+    """(degree, distance) with None above every finite distance."""
+    return (c.degree, float("inf") if c.pref_distance is None else c.pref_distance)
+
+
 def bridged_cycles(rng):
     """Cycles of length 3-6, each joined to an earlier one by a bridge,
     with an occasional pendant node."""
@@ -106,6 +111,34 @@ class TestContract:
     def test_path_component_rejected(self, path5):
         with pytest.raises(PreconditionError):
             contract(path5)
+
+    def test_path_component_of_a_union_rejected(self):
+        g = Graph(["p0", "h", "p1", "1", "2", "p2", "3"],
+                  [("h", "1"), ("h", "2"), ("h", "3"), ("p0", "p1"), ("p1", "p2")])
+        with pytest.raises(PreconditionError, match="every component"):
+            contract(g)
+
+    def test_two_hub_components_keep_the_input_label_order(self):
+        # hub x: a terminal leg m-k-q, two leaves and a cycle x-c-b-d-x;
+        # hub w: two leaves and a terminal leg f-n; labels interleaved
+        g = Graph(
+            ["x", "w", "m", "q", "k", "g", "e", "f", "c", "n", "z", "b", "a", "d"],
+            [("x", "m"), ("m", "k"), ("k", "q"), ("x", "e"), ("x", "z"),
+             ("x", "c"), ("c", "b"), ("b", "d"), ("d", "x"),
+             ("w", "g"), ("w", "f"), ("f", "n"), ("w", "a")],
+        )
+        report = contract(g)
+        assert report.rules == {
+            "k": "terminal", "q": "terminal", "n": "terminal", "b": "non_terminal",
+        }
+        cg = report.contracted
+        assert cg.nodes == ("x", "w", "m", "g", "e", "f", "c", "z", "a", "d")
+        assert set(map(frozenset, cg.edges())) == {
+            frozenset(e) for e in [("x", "m"), ("x", "e"), ("x", "z"), ("x", "c"),
+                                   ("x", "d"), ("c", "d"), ("w", "g"), ("w", "f"),
+                                   ("w", "a")]
+        }
+        assert cg.edge_count == 9
 
     def test_idempotent(self):
         for g in graphs_with_branch_node(30, 9, 0.25):
@@ -315,7 +348,7 @@ class TestQualitativeScores:
                             rng.choice([None, 0, 1, 2, 3, 7]))
             for i in range(200)
         ]
-        ordered = sorted(cands, key=lambda c: c.sort_key())
+        ordered = sorted(cands, key=degree_distance_key)
         scores = [c.score for c in ordered]
         assert scores == sorted(scores)
 
@@ -339,9 +372,11 @@ class TestCandidateList:
     @given(structured_graphs, structured_graphs, st.randoms(use_true_random=False))
     def test_sort_key_order_is_score_order(self, a, b, rng):
         """On any graph, connected or not, candidate_list's order is
-        descending score with ties by label: a candidate is never preferred,
-        so never at distance 0. The union of two graphs with up to two
-        preferred nodes in the first mixes finite and None distances."""
+        descending score with ties by label, and that is descending degree,
+        then descending distance with None first, then label: a candidate is
+        never preferred, so never at distance 0. The union of two graphs
+        with up to two preferred nodes in the first mixes finite and None
+        distances."""
         g = Graph(
             [f"a{v}" for v in a.nodes] + [f"b{v}" for v in b.nodes],
             [(f"a{u}", f"a{v}") for u, v in a.edges()]
@@ -350,6 +385,11 @@ class TestCandidateList:
         pref = {f"a{v}" for v in rng.sample(a.nodes, rng.randint(0, 2))}
         cands = candidate_list(g, pref)
         assert sorted(cands, key=lambda c: (-c.score, label_key(c.node))) == cands
+        by_degree_distance = sorted(
+            cands,
+            key=lambda c: (tuple(-x for x in degree_distance_key(c)), label_key(c.node)),
+        )
+        assert by_degree_distance == cands
 
 
 class TestPruningOnFamilies:

@@ -896,8 +896,9 @@ def check_first_hit(g: Graph, mode: str = "optimized") -> int:
 def check_plan(g: Graph) -> int:
     """On each component of g with a degree->=3 node, check that the
     preferred nodes plus all the candidates of the contracted component are
-    a PDS, and that there are no candidates iff the preferred nodes alone
-    are one; return the number of components checked."""
+    a PDS, that there are no candidates iff the preferred nodes alone are
+    one, and that every preferred node has degree >= 3 there (the solver's
+    count of r relies on it); return the number of components checked."""
     checked = 0
     for comp in connected_components(g):
         sub = g.induced(comp)
@@ -906,6 +907,7 @@ def check_plan(g: Graph) -> int:
         cg, seeds, cands = plan(sub)
         assert oracle_is_pds(cg, seeds + cands), write_edge_list(cg)
         assert (cands == []) == oracle_is_pds(cg, seeds), write_edge_list(cg)
+        assert all(cg.degree(v) >= 3 for v in seeds), write_edge_list(cg)
         checked += 1
     return checked
 
