@@ -25,13 +25,7 @@ __all__ = [
     "connected_components",
     "articulation_points",
     "bfs_distances",
-    "label_key",
 ]
-
-
-def label_key(label: str) -> bytes:
-    """Sort key giving lexicographic byte order of a label."""
-    return label.encode("utf-8")
 
 
 class Graph:
@@ -108,7 +102,7 @@ class Graph:
 
     def neighbors(self, label: str) -> Tuple[str, ...]:
         i = self.index_of(label)
-        return tuple(sorted((self._labels[j] for j in self._adj[i]), key=label_key))
+        return tuple(sorted(self._labels[j] for j in self._adj[i]))
 
     def has_edge(self, u: str, v: str) -> bool:
         return self.index_of(v) in self._adj[self.index_of(u)]
@@ -300,10 +294,7 @@ def write_edge_list(g: Graph) -> str:
         raise ParameterError(
             f"an edge list cannot hold isolated nodes; the graph has {isolated}"
         )
-    lines = sorted(
-        ((u, v) if label_key(u) <= label_key(v) else (v, u) for u, v in g.edges()),
-        key=lambda e: (label_key(e[0]), label_key(e[1])),
-    )
+    lines = sorted((u, v) if u <= v else (v, u) for u, v in g.edges())
     return "".join(f"{u} {v}\n" for u, v in lines)
 
 

@@ -12,7 +12,7 @@ previous one pays only for its last node. Every scan pays even that only
 for k-subsets that meet the closed neighborhood of every fort it knows; it
 finds the forts with ``_minimal_fort``, which shrinks the unobserved
 remainder of a failed closed state with at most one probe closure per node
-of it, while the nodes shrunk are at most the k-subsets closed.
+of it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import Graph, label_key
+from .graph import Graph
 
 __all__ = [
     "ObservationState",
@@ -219,10 +219,10 @@ def forcing_chains(g: Graph, pmus: Iterable[str]) -> List[ForcingChain]:
     Every force-log entry belongs to exactly one chain.
     """
     pmu_set = set(pmus)
-    # an unknown label raises NotFoundError here, before label_key sees it
+    # an unknown label raises NotFoundError here, before sorting raises TypeError
     for p in pmu_set:
         g.index_of(p)
-    pmu_sorted = sorted(pmu_set, key=label_key)
+    pmu_sorted = sorted(pmu_set)
     attributed = {}
     for p in pmu_sorted:
         for w in g.neighbors(p):

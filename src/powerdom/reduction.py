@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
-from .graph import Graph, _reach, articulation_points, label_key, multi_source_distances
+from .graph import Graph, _reach, articulation_points, multi_source_distances
 from .propagation import _observe
 
 __all__ = [
@@ -151,7 +151,7 @@ def preferred_nodes(g: Graph) -> PreferredReport:
     b_pref = set()
     forts: Dict[str, FrozenSet[str]] = {}
     witness_comps: Dict[str, List[FrozenSet[str]]] = {}
-    for v in sorted(articulation_points(g), key=label_key):
+    for v in sorted(articulation_points(g)):
         vi = g.index_of(v)
         observed = _observe(adj, [vi])[0]
         # Every neighbor of v is observed by the domination step and v never
@@ -218,7 +218,7 @@ def qualitative_scores(g: Graph, pref: Iterable[str]) -> Dict[str, ScoredCandida
 
 def candidate_list(g: Graph, pref: Iterable[str]) -> List[ScoredCandidate]:
     """Degree->=3 nodes outside the preferred and redundant sets, sorted by
-    descending score with ties broken by ascending label byte order."""
+    descending score with ties broken by label order."""
     pref = set(pref)
     redundant = redundant_nodes(g, pref)
     scores = qualitative_scores(g, pref)
@@ -227,5 +227,5 @@ def candidate_list(g: Graph, pref: Iterable[str]) -> List[ScoredCandidate]:
         for c in scores.values()
         if c.degree >= 3 and c.node not in pref and c.node not in redundant
     ]
-    cands.sort(key=lambda c: (-c.score, label_key(c.node)))
+    cands.sort(key=lambda c: (-c.score, c.node))
     return cands

@@ -60,7 +60,7 @@ from operator import or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InternalError, ParameterError
-from .graph import Graph, connected_components, label_key
+from .graph import Graph, connected_components
 from .propagation import (
     _closed_neighborhoods,
     _force_closure,
@@ -470,20 +470,20 @@ def _search(
 def _solve_component(sub: Graph, cfg: SolverConfig) -> _ComponentOutcome:
     n = sub.node_count
     if cfg.mode == "naive":
-        pds, checked, levels = _search(sub, (), sorted(sub.nodes, key=label_key), cfg.workers)
+        pds, checked, levels = _search(sub, (), sorted(sub.nodes), cfg.workers)
         return _ComponentOutcome(
             n, pds, candidates=n, subsets_checked=checked, levels_completed=levels
         )
     if all(len(a) <= 2 for a in sub.adjacency):
         # path or cycle: any single node is a PDS
-        return _ComponentOutcome(n, (min(sub.nodes, key=label_key),), d=n)
+        return _ComponentOutcome(n, (min(sub.nodes),), d=n)
     report = contract(sub)
     cg = report.contracted
     prep = preferred_nodes(cg)
     cands = candidate_list(cg, prep.pref)
     deg3 = sum(1 for a in cg.adjacency if len(a) >= 3)
     pds, checked, levels = _search(
-        cg, sorted(prep.pref, key=label_key), [c.node for c in cands], cfg.workers
+        cg, sorted(prep.pref), [c.node for c in cands], cfg.workers
     )
     return _ComponentOutcome(
         cg.node_count,
@@ -548,7 +548,7 @@ def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet
         raise ParameterError("allminpds requires a nonempty graph")
     cfg = config or SolverConfig()
     k = solve(g, cfg).pdn
-    labels = sorted(g.nodes, key=label_key)
+    labels = sorted(g.nodes)
     idx = tuple(g.index_of(v) for v in labels)
     _, hits = _scan_levels(g.adjacency, (), idx, (k,), False, cfg.workers)
     return [frozenset(labels[p] for p in hit) for hit in hits]

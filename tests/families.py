@@ -2,11 +2,29 @@
 ladder is a 2-row grid), cycles with chords, and hubs joined by long
 degree-2 chains. Sparse random graphs miss these shapes, which are the
 ones contraction, forcing chains and pruning act on.
+
+``relabeled`` renames the nodes of such graphs, and of small random ones,
+with non-ASCII labels, for checks of the label order against ``byte_key``.
 """
 
 from hypothesis import strategies as st
 
-from powerdom import Graph
+from powerdom import Graph, erdos_renyi_connected
+
+# ASCII, multi-byte, U+FFFF and astral characters: UTF-8 byte order puts the
+# astral ones after U+FFFF, where UTF-16 code-unit order puts them before U+E000
+LABEL_ALPHABET = "a\u00e9\u4e2d\ue000\uffff\U0001f600\U0010ffff"
+
+
+def byte_key(label: str) -> bytes:
+    """The documented label order: UTF-8 byte order."""
+    return label.encode("utf-8")
+
+
+def renamed(g: Graph, new) -> Graph:
+    """g with each node that is a key of new renamed to its value."""
+    name = {v: new.get(v, v) for v in g.nodes}
+    return Graph([name[v] for v in g.nodes], [(name[u], name[v]) for u, v in g.edges()])
 
 
 def _graph(n: int, edges) -> Graph:
@@ -66,3 +84,22 @@ def hubs_with_chains(draw) -> Graph:
 
 
 structured_graphs = st.one_of(trees(), grids(), chorded_cycles(), hubs_with_chains())
+
+
+small_random_graphs = st.builds(
+    lambda n, seed: erdos_renyi_connected(n, min(3.5 / n, 1.0), seed),
+    st.integers(3, 14),
+    st.integers(0, 10_000),
+)
+
+
+@st.composite
+def relabeled(draw) -> Graph:
+    """A structured or small random graph with its nodes renamed, in their
+    index order, to distinct labels of one to three characters from
+    LABEL_ALPHABET."""
+    g = draw(st.one_of(structured_graphs, small_random_graphs))
+    n = g.node_count
+    label = st.text(LABEL_ALPHABET, min_size=1, max_size=3)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    return renamed(g, dict(zip(g.nodes, labels)))

@@ -18,6 +18,7 @@ from powerdom import (
     write_graph6,
 )
 
+from families import byte_key, relabeled
 from oracles import oracle_articulation_points, oracle_shortest_distance, random_graph
 
 
@@ -172,6 +173,16 @@ class TestEdgeList:
     def test_write_read_round_trip(self, zim):
         back = parse_edge_list(write_edge_list(zim))
         assert back == zim
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled())
+    def test_write_and_neighbors_sort_by_byte_order_on_non_ascii_labels(self, g):
+        lines = [tuple(map(byte_key, line.split(" "))) for line in write_edge_list(g).splitlines()]
+        assert all(u < v for u, v in lines)
+        assert lines == sorted(lines)
+        assert len(lines) == g.edge_count
+        for v in g.nodes:
+            assert list(g.neighbors(v)) == sorted(g.neighbors(v), key=byte_key)
 
     def test_isolated_nodes_rejected_on_write(self):
         # graph6 "D?_": five nodes, one edge 0-4, three isolated nodes

@@ -20,9 +20,7 @@ from powerdom import (
     redundant_nodes,
 )
 
-from powerdom.graph import label_key
-
-from families import structured_graphs
+from families import byte_key, relabeled, structured_graphs
 from oracles import (
     oracle_is_pds,
     oracle_min_pds_sets,
@@ -278,6 +276,14 @@ class TestPreferredNodes:
         # attached by one edge each, so the f-rule holds
         assert rep.b_preferred <= rep.f_preferred
 
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled())
+    def test_matches_definition_oracle_on_non_ascii_labels(self, g):
+        """The oracle picks p-preferred in byte_key order."""
+        rep = preferred_nodes(g)
+        fields = (rep.b_preferred, rep.f_preferred, rep.forts, rep.p_preferred, rep.pref)
+        assert fields == oracle_preferred_nodes(g)
+
 
 class TestRedundantNodes:
     def test_zim_published_example(self, zim):
@@ -384,12 +390,19 @@ class TestCandidateList:
         )
         pref = {f"a{v}" for v in rng.sample(a.nodes, rng.randint(0, 2))}
         cands = candidate_list(g, pref)
-        assert sorted(cands, key=lambda c: (-c.score, label_key(c.node))) == cands
+        assert sorted(cands, key=lambda c: (-c.score, byte_key(c.node))) == cands
         by_degree_distance = sorted(
             cands,
-            key=lambda c: (tuple(-x for x in degree_distance_key(c)), label_key(c.node)),
+            key=lambda c: (tuple(-x for x in degree_distance_key(c)), byte_key(c.node)),
         )
         assert by_degree_distance == cands
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled())
+    def test_score_ties_in_byte_order_on_non_ascii_labels(self, g):
+        cands = candidate_list(g, preferred_nodes(g).pref)
+        for a, b in zip(cands, cands[1:]):
+            assert a.score > b.score or byte_key(a.node) < byte_key(b.node)
 
 
 class TestPruningOnFamilies:

@@ -24,7 +24,9 @@ from powerdom import (
     contract,
     default_workers,
     erdos_renyi_connected,
+    forcing_chains,
     is_power_dominating_set,
+    parse_edge_list,
     preferred_nodes,
     solve,
     subset_counts,
@@ -32,11 +34,10 @@ from powerdom import (
 )
 
 from powerdom.propagation import _force_closure, _minimal_fort, observes_all
-from powerdom.graph import label_key
 from powerdom.search import _Forts, _blocks, _scan_levels, _scan_range
 
 import children
-from families import structured_graphs
+from families import byte_key, relabeled, renamed, structured_graphs
 from oracles import oracle_is_minimal_fort, oracle_is_pds, oracle_pdn, random_graph
 
 ZIM_TABLE_SETS = [
@@ -272,6 +273,52 @@ class TestAllMinPds:
         a = allminpds(zim, SolverConfig(workers=1))
         b = allminpds(zim, SolverConfig(workers=8))
         assert a == b
+
+
+class TestLabelOrder:
+    """Label order is UTF-8 byte order, and every label a Graph accepts
+    can be ordered."""
+
+    def test_label_with_a_lone_surrogate(self, zim):
+        # "\ud800" has no UTF-8 encoding, so a byte sort key cannot take it
+        g = renamed(zim, {"9": "\ud800"})
+        for mode in ("optimized", "naive"):
+            res = solve(g, SolverConfig(workers=1, mode=mode))
+            assert res.pdn == 2
+            assert is_power_dominating_set(g, res.pds)
+        sets = allminpds(g, SolverConfig(workers=1))
+        assert len(sets) == 13
+        expected = [["\ud800" if v == "9" else v for v in s] for s in ZIM_TABLE_SETS]
+        assert set(sets) == {frozenset(s) for s in expected}
+        chains = forcing_chains(g, res.pds)
+        assert set(res.pds).union(*(c.nodes for c in chains)) == set(g.nodes)
+        assert g.neighbors("\ud800") == tuple(sorted(zim.neighbors("9"), key=byte_key))
+        # the surrogate sorts after every ASCII label
+        assert all(g.neighbors(u)[-1] == "\ud800" for u in zim.neighbors("9"))
+        assert parse_edge_list(write_edge_list(g)) == g
+
+    def test_byte_order_where_utf16_order_differs(self, fig3, ieee39):
+        # UTF-8 puts U+FFFF (3 bytes) before an astral character (4 bytes);
+        # UTF-16 puts the astral one's surrogate pair first
+        high, astral, top = "\uffff", "\U0001f600", "\U0010ffff"
+        path = Graph([astral, high], [(astral, high)])
+        cycle = Graph([astral, top, high], [(astral, top), (top, high), (high, astral)])
+        for g in (path, cycle):
+            assert solve(g, SolverConfig(workers=1)).pds == (high,)
+        # both f-preferred nodes of fig3 qualify, so the first becomes p-preferred
+        for a, b in ((astral, high), (high, astral)):
+            assert preferred_nodes(renamed(fig3, {"1": a, "2": b})).p_preferred == high
+        # the seeds are the preferred nodes of contracted ieee39, in label order
+        g = renamed(ieee39, {"16": astral, "19": high})
+        assert solve(g, SolverConfig(workers=1)).pds == ("26", high, astral, "6", "11")
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled())
+    def test_allminpds_in_rank_order_over_byte_sorted_labels(self, g):
+        pos = {v: p for p, v in enumerate(sorted(g.nodes, key=byte_key))}
+        sets = allminpds(g, SolverConfig(workers=1))
+        ranks = [combination_rank(g.node_count, sorted(pos[v] for v in s)) for s in sets]
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
 
 class TestPoolDecision:
@@ -855,10 +902,10 @@ def plan(sub: Graph, mode: str = "optimized"):
     """The graph, seeds and candidates that solve searches on the connected
     graph sub, which has a degree->=3 node when mode is "optimized"."""
     if mode == "naive":
-        return sub, [], sorted(sub.nodes, key=label_key)
+        return sub, [], sorted(sub.nodes, key=byte_key)
     cg = contract(sub).contracted
     pref = preferred_nodes(cg).pref
-    return cg, sorted(pref, key=label_key), [c.node for c in candidate_list(cg, pref)]
+    return cg, sorted(pref, key=byte_key), [c.node for c in candidate_list(cg, pref)]
 
 
 def check_first_hit(g: Graph, mode: str = "optimized") -> int:
@@ -871,7 +918,7 @@ def check_first_hit(g: Graph, mode: str = "optimized") -> int:
     for comp in connected_components(g):
         sub = g.induced(comp)
         if mode == "optimized" and all(len(a) <= 2 for a in sub.adjacency):
-            pds.append(min(sub.nodes, key=label_key))
+            pds.append(min(sub.nodes, key=byte_key))
             continue
         cg, seeds, cands = plan(sub, mode)
         adj = cg.adjacency
@@ -937,6 +984,13 @@ class TestFirstPds:
     @settings(max_examples=100, deadline=None)
     @given(structured_graphs, st.sampled_from(["optimized", "naive"]))
     def test_solve_returns_the_first_pds_of_its_plan(self, g, mode):
+        check_first_hit(g, mode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled(), st.sampled_from(["optimized", "naive"]))
+    def test_plan_follows_byte_order_on_non_ascii_labels(self, g, mode):
+        """The plan orders the naive candidates, the preferred seeds, score
+        ties and the one-node answer for a path or cycle by byte_key."""
         check_first_hit(g, mode)
 
     def test_first_pds_on_random_graphs(self):
