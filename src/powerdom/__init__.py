@@ -2,103 +2,20 @@
 networks via contraction, preferred-node detection, redundancy elimination,
 qualitative ordering, and parallel exhaustive search."""
 
-from .errors import (
-    FormatError,
-    InternalError,
-    NotFoundError,
-    ParameterError,
-    PowerDomError,
-    PreconditionError,
-)
-from .graph import (
-    DistanceMap,
-    Graph,
-    articulation_points,
-    bfs_distances,
-    connected_components,
-    erdos_renyi_connected,
-    parse_edge_list,
-    parse_graph6,
-    write_edge_list,
-    write_graph6,
-)
-from .library import BUILTIN_NAMES, builtin_graph
-from .propagation import (
-    ForcingChain,
-    ObservationState,
-    dominate,
-    forcing_chains,
-    is_power_dominating_set,
-    power_dominate,
-    zero_force,
-)
-from .reduction import (
-    ContractionReport,
-    PreferredReport,
-    ScoredCandidate,
-    candidate_list,
-    contract,
-    preferred_nodes,
-    qualitative_scores,
-    redundant_nodes,
-)
-from .search import (
-    Diagnostics,
-    PipelineReport,
-    SolveResult,
-    SolverConfig,
-    allminpds,
-    combination_rank,
-    combination_unrank,
-    default_workers,
-    solve,
-    subset_counts,
-)
+from . import errors, graph, library, propagation, reduction, search
+from .errors import *
+from .graph import *
+from .library import *
+from .propagation import *
+from .reduction import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "ContractionReport",
-    "Diagnostics",
-    "DistanceMap",
-    "ForcingChain",
-    "FormatError",
-    "Graph",
-    "InternalError",
-    "NotFoundError",
-    "ObservationState",
-    "ParameterError",
-    "PipelineReport",
-    "PowerDomError",
-    "PreconditionError",
-    "PreferredReport",
-    "ScoredCandidate",
-    "SolveResult",
-    "SolverConfig",
-    "allminpds",
-    "articulation_points",
-    "bfs_distances",
-    "builtin_graph",
-    "candidate_list",
-    "combination_rank",
-    "combination_unrank",
-    "connected_components",
-    "contract",
-    "default_workers",
-    "dominate",
-    "erdos_renyi_connected",
-    "forcing_chains",
-    "is_power_dominating_set",
-    "parse_edge_list",
-    "parse_graph6",
-    "power_dominate",
-    "preferred_nodes",
-    "qualitative_scores",
-    "redundant_nodes",
-    "solve",
-    "subset_counts",
-    "write_edge_list",
-    "write_graph6",
-    "zero_force",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += graph.__all__
+__all__ += library.__all__
+__all__ += propagation.__all__
+__all__ += reduction.__all__
+__all__ += search.__all__

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PowerDomError",
+    "FormatError",
+    "NotFoundError",
+    "ParameterError",
+    "PreconditionError",
+    "InternalError",
+]
+
 
 class PowerDomError(Exception):
     """Base class for all errors raised by this package."""

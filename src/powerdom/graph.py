@@ -288,12 +288,17 @@ def parse_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """One "u v" line per edge. The format has no way to list a node
-    without an edge, so a graph with isolated nodes is rejected."""
+    without an edge, nor a label that is empty, holds whitespace (what
+    ``str.split`` and ``str.splitlines`` break on) or starts a ``#``
+    comment, so such graphs are rejected."""
     isolated = sum(1 for nbrs in g.adjacency if not nbrs)
     if isolated:
         raise ParameterError(
             f"an edge list cannot hold isolated nodes; the graph has {isolated}"
         )
+    for lab in g.nodes:
+        if not lab or lab.startswith("#") or any(c.isspace() for c in lab):
+            raise ParameterError(f"an edge list cannot hold the label {lab!r}")
     lines = sorted((u, v) if u <= v else (v, u) for u, v in g.edges())
     return "".join(f"{u} {v}\n" for u, v in lines)
 

@@ -94,12 +94,12 @@ small_random_graphs = st.builds(
 
 
 @st.composite
-def relabeled(draw) -> Graph:
+def relabeled(draw, alphabet: str = LABEL_ALPHABET) -> Graph:
     """A structured or small random graph with its nodes renamed, in their
     index order, to distinct labels of one to three characters from
-    LABEL_ALPHABET."""
+    alphabet."""
     g = draw(st.one_of(structured_graphs, small_random_graphs))
     n = g.node_count
-    label = st.text(LABEL_ALPHABET, min_size=1, max_size=3)
+    label = st.text(alphabet, min_size=1, max_size=3)
     labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     return renamed(g, dict(zip(g.nodes, labels)))

@@ -322,6 +322,15 @@ class TestConvertCommand:
         assert code == 2
         assert out == ""
 
+    def test_label_starting_with_hash_to_edgelist_exit_2(self, capsys, tmp_path):
+        # written as "#x a", node #x would read back as a comment and be lost
+        src = tmp_path / "p4.txt"
+        src.write_text("a #x\nb a\n")
+        code, out, err = run_cli(capsys, "convert", str(src), "--to", "edgelist")
+        assert code == 2
+        assert out == ""
+        assert "'#x'" in err
+
     def test_builtin_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "convert", "--builtin", "fig3", "--to", "graph6")
         assert code == 0

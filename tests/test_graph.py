@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from powerdom import (
     write_graph6,
 )
 
-from families import byte_key, relabeled
+from families import LABEL_ALPHABET, byte_key, relabeled
 from oracles import oracle_articulation_points, oracle_shortest_distance, random_graph
 
 
@@ -53,6 +55,24 @@ class TestGraphBasics:
     def test_non_string_label_rejected(self, label):
         with pytest.raises(ParameterError, match="must be a string"):
             Graph(["a", label])
+
+    def test_has_node(self, zim):
+        assert zim.has_node("9")
+        assert not zim.has_node("99")
+
+    def test_equal_graphs_hash_equal_whatever_the_label_order(self):
+        a = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+        b = Graph(["3", "2", "1"], [("3", "2"), ("2", "1")])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_repr(self, zim):
+        assert repr(zim) == "Graph(n=11, m=15)"
+
+    def test_equality_with_a_non_graph(self, zim):
+        assert zim.__eq__(5) is NotImplemented
+        assert (zim == 5) is False
 
     def test_induced_subgraph(self, zim):
         sub = zim.induced({"9", "10", "11"})
@@ -181,6 +201,7 @@ class TestEdgeList:
         assert all(u < v for u, v in lines)
         assert lines == sorted(lines)
         assert len(lines) == g.edge_count
+        assert parse_edge_list(write_edge_list(g)) == g
         for v in g.nodes:
             assert list(g.neighbors(v)) == sorted(g.neighbors(v), key=byte_key)
 
@@ -188,6 +209,22 @@ class TestEdgeList:
         # graph6 "D?_": five nodes, one edge 0-4, three isolated nodes
         with pytest.raises(ParameterError, match="has 3"):
             write_edge_list(parse_graph6(b"D?_"))
+
+    # each label would read back as other tokens, or as a comment
+    @pytest.mark.parametrize("label", ["a b", "", "#x", "a\u00a0b", "a\u2028b", "a\x1cb"])
+    def test_unreadable_label_rejected_on_write(self, label):
+        with pytest.raises(ParameterError, match=re.escape(repr(label))):
+            write_edge_list(Graph([label, "c"], [(label, "c")]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabeled(LABEL_ALPHABET + " #\u00a0\u2028"))
+    def test_write_rejects_or_round_trips(self, g):
+        # most draws hold such a label; the byte-order test above round-trips the rest
+        if any(v.startswith("#") or any(c in " \u00a0\u2028" for c in v) for v in g.nodes):
+            with pytest.raises(ParameterError):
+                write_edge_list(g)
+        else:
+            assert parse_edge_list(write_edge_list(g)) == g
 
 
 class TestBuiltins:
