@@ -40,13 +40,15 @@ def _load_graph(args) -> Graph:
         raise ParameterError("provide an input file or --builtin NAME")
     with open(args.input, "rb") as fh:
         data = fh.read()
+    # one leading UTF-8 byte order mark, which editors may write, is no data
+    data = data.removeprefix(b"\xef\xbb\xbf")
     fmt = args.format
     if fmt == "auto":
         fmt = _detect_format(data)
     if fmt == "graph6":
         return parse_graph6(data)
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError("edge-list input is not valid UTF-8") from None
     return parse_edge_list(text)

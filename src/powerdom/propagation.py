@@ -11,8 +11,10 @@ state it extends, so a k-subset that shares its first k-1 nodes with the
 previous one pays only for its last node. Every scan pays even that only
 for k-subsets that meet the closed neighborhood of every fort it knows; it
 finds the forts with ``_minimal_fort``, which shrinks the unobserved
-remainder of a failed closed state with at most one probe closure per node
-of it.
+remainder of a failed closed state to a minimal fort with at most one probe
+closure per node of it. It probes the nodes with the most observed
+neighbors first, so the fort it keeps tends to have a small closed
+neighborhood, which fewer sets meet.
 """
 
 from __future__ import annotations
@@ -140,13 +142,26 @@ def _minimal_fort(
     a minimal fort; the state is left as it is.
 
     A fort is a nonempty node set F that no node outside it has exactly one
-    neighbor in, and the unobserved remainder of a closed state is one. For
-    each node x of F in index order, the closure of x and the nodes outside
-    F either observes every node or leaves a smaller fort, which replaces F.
-    One pass is enough: closure is monotone, so an x that leaves no smaller
-    fort of F leaves none of any fort inside F either."""
+    neighbor in, and the unobserved remainder of a closed state is one. Each
+    node x of F is probed once: the closure of x and the nodes outside F
+    either leaves a smaller fort, which replaces F, or observes every node,
+    and then the probe fails.
+
+    The fort kept is minimal for any fixed probe order. A probe of x that
+    fails puts x in every fort inside the current F: the nodes outside such
+    a fort never observe it, and closure is monotone. So no fort F' lies
+    strictly inside the final F: a node x of F outside F' was probed while
+    F' was inside the current F, and its probe failed, which puts x in F'.
+
+    The order picks which minimal fort is kept: the nodes with the most
+    observed neighbors go first, ties in index order. Such a node widens
+    N[F], and probing it early drops it wherever the current F holds a fort
+    without it. A fort with a small N[F] is met by fewer candidate sets, so
+    it rejects more of them."""
     n = len(adj)
-    for x in [v for v in range(n) if not observed[v]]:
+    rest = [v for v in range(n) if not observed[v]]
+    rest.sort(key=lambda v: sum(observed[u] for u in adj[v]), reverse=True)
+    for x in rest:
         if observed[x]:
             continue
         flags, counters = observed[:], unobs[:]

@@ -36,6 +36,10 @@ of every fort. The forts are found lazily: a leaf that fails leaves an
 unobserved remainder, which is shrunk to a minimal fort and added to a
 table of bitmasks over the candidates, and a later leaf whose masks do not
 cover every known fort is rejected for one int OR instead of a closure.
+The shrink probes the remainder's nodes with the most observed neighbors
+first; any fixed order keeps a minimal fort, and this one keeps forts
+whose closed neighborhoods are small, so they hold fewer candidate bits
+and more leaves and prefixes miss them.
 Shrinking a remainder costs up to one closure per node of it, so a scan
 shrinks one only while the nodes of the remainders its table has shrunk
 are at most the leaves it has closed; past that a failed leaf is just a

@@ -46,6 +46,15 @@ class TestPdnCommand:
         assert code == 0
         assert [c["nodes"] for c in json.loads(out)["components"]] == [["1", "2", "3"]]
 
+    @pytest.mark.parametrize("fmt", ["auto", "graph6"])
+    def test_graph6_with_byte_order_mark(self, capsys, tmp_path, fmt):
+        # D?{ is the star K_{1,4}: one PMU at its center
+        path = tmp_path / "bom.g6"
+        path.write_bytes(b"\xef\xbb\xbfD?{\n")
+        code, out, _ = run_cli(capsys, "pdn", str(path), "--workers", "1", "--format", fmt)
+        assert code == 0
+        assert out.strip() == "1"
+
     def test_graph6_autodetect(self, capsys, tmp_path):
         path = tmp_path / "k3.g6"
         path.write_bytes(b"Bw\n")
