@@ -13,11 +13,14 @@ the seeds' closure), so the last level always has a hit.
 Levels are strict barriers: size k+1 is only searched once every k-subset
 has failed, which is what makes the reported pdn exact. One function,
 _scan_levels, runs a search's levels: every level is scanned as blocks of
-combinations with common leading candidates, in this process or on the
-pool, and the hits come back in rank order as tuples of candidate
-positions, so the minimum-rank success wins at any worker count. Every
-block runs on one payload, (adj, seeds, cand, forts). The pool is a
-ProcessPoolExecutor fed in rank order, about two blocks per worker ahead.
+combinations with common leading candidates, and the hits come back in
+rank order as tuples of candidate positions, so the minimum-rank success
+wins at any worker count. Every block runs on one payload, (adj, seeds,
+cand, forts). A search scans its blocks in this process; at workers > 1,
+once it has run _POOL_AFTER seconds, it hands every remaining block, of
+this level and the later ones, to a fork pool, so a short search forks
+no pool at all. The pool is a ProcessPoolExecutor fed in rank order,
+about two blocks per worker ahead.
 However a pooled scan ends (the level is done, a first hit, an error, a
 dead worker, Ctrl-C), its shutdown cancels the blocks not yet started and
 waits for the running ones; no worker is killed, and a worker that dies
@@ -45,9 +48,9 @@ shrinks one only while the nodes of the remainders its table has shrunk
 are at most the leaves it has closed; past that a failed leaf is just a
 failure. A search has one table, in its payload, so the forts of level
 k - 1 filter level k. A pool worker starts from a copy of it, with the
-forts found before the pool started, and then extends its copy alone, so
-the copies differ between workers, but only in the closures they save;
-the hits and their order do not change.
+forts the in-process scan found before the pool started, and then
+extends its copy alone, so the copies differ between workers, but only
+in the closures they save; the hits and their order do not change.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from operator import or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -217,8 +221,12 @@ def subset_counts(
 
 # -- level scanning ----------------------------------------------------------
 
-# the most ranks in one block; a level of at most this many is not pooled
+# the most ranks in one block
 _CHUNK = 4096
+
+# the seconds a search scans in this process before, at workers > 1, it
+# hands its remaining blocks to the pool
+_POOL_AFTER = 0.2
 
 # (adj, seeds, cand, forts) of the search a pool worker serves
 _W_PAYLOAD = None
@@ -371,32 +379,41 @@ def _scan_levels(adj, seeds, cand, levels, first_only: bool, workers: int):
     (k, hits) for the first level with a hit, its successful combinations
     in rank order (only the first when first_only), or None.
 
-    A level runs as _blocks, on a fork process pool when workers > 1 and it
-    has more than _CHUNK ranks, else in this process, and every block runs
-    on one payload, (adj, seeds, cand, forts). The pool starts on first need
-    with that payload, so a worker starts from the forts found so far and
-    extends its own copy after that. Blocks come back in rank order, so a
-    first-hit level ends at its minimum-rank hit. However the scan ends, the
-    pool's shutdown cancels the blocks not yet started and waits for the
-    running ones, so no worker is killed."""
+    A level runs as _blocks, and every block runs on one payload, (adj,
+    seeds, cand, forts). The blocks run in this process until, at workers
+    > 1, the search has run _POOL_AFTER seconds. From then on a fork
+    process pool scans every remaining block, from the one at hand to the
+    end of the last level; it starts with the payload, so a worker starts
+    from the forts found so far and extends its own copy after that. The
+    search's own clock decides, since the cost of a rank varies too much
+    for a rank count to say when a pool pays. Blocks come back in rank
+    order, the in-process ones first, so a first-hit level ends at its
+    minimum-rank hit. However the scan ends, the pool's shutdown cancels
+    the blocks not yet started and waits for the running ones, so no
+    worker is killed."""
     payload = (adj, seeds, cand, _Forts(adj, cand))
     m = len(cand)
     pool = None
+    handoff = time.perf_counter() + _POOL_AFTER
+
+    def results(specs):
+        nonlocal pool
+        for spec in specs:
+            if pool is None and workers > 1 and time.perf_counter() >= handoff:
+                # imported here: at module top it would slow `import powerdom`
+                from concurrent.futures.process import ProcessPoolExecutor
+
+                fork = multiprocessing.get_context("fork")
+                pool = ProcessPoolExecutor(workers, fork, _worker_init, payload)
+            if pool is not None:
+                yield from _pooled(pool, workers, chain((spec,), specs))
+                return
+            yield _scan_range(*payload, *spec)
+
     try:
         for k in levels:
-            specs = ((k, *block, first_only) for block in _blocks(m, k))
-            if workers > 1 and math.comb(m, k) > _CHUNK:
-                if pool is None:
-                    # imported here: at module top it would slow `import powerdom`
-                    from concurrent.futures.process import ProcessPoolExecutor
-
-                    fork = multiprocessing.get_context("fork")
-                    pool = ProcessPoolExecutor(workers, fork, _worker_init, payload)
-                results = _pooled(pool, workers, specs)
-            else:
-                results = (_scan_range(*payload, *spec) for spec in specs)
             hits: List[Tuple[int, ...]] = []
-            for block_hits in results:
+            for block_hits in results((k, *block, first_only) for block in _blocks(m, k)):
                 hits += block_hits
                 if first_only and hits:
                     break

@@ -16,7 +16,8 @@ import powerdom
 _SRC = os.path.dirname(os.path.dirname(powerdom.__file__))
 
 # Patches the kernel so that a pool worker exits abruptly on its first
-# block, with blocks of 4 ranks so that zim's levels are pooled.
+# block, with blocks of 4 ranks and a pool that starts on a search's first
+# block, so that zim's levels are pooled.
 DYING_WORKER = """
 import os
 import powerdom.search
@@ -28,6 +29,7 @@ def dying(*args):
     return real(*args)
 powerdom.search._force_closure = dying
 powerdom.search._CHUNK = 4
+powerdom.search._POOL_AFTER = 0
 """
 
 

@@ -231,6 +231,7 @@ def test_criterion_8_parallel_determinism(monkeypatch):
     import powerdom.search
 
     monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+    monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
     graphs = [builtin_graph("zim"), builtin_graph("ieee39")]
     graphs += [erdos_renyi_connected(30, 0.12, seed) for seed in range(20)]
     for g in graphs:

@@ -178,6 +178,7 @@ def test_solve_matches_golden(name, mode, workers):
 @pytest.mark.parametrize("name", ["zim", "fig3", "tadpole", "mutated_zim", "ieee39"])
 def test_pool_driven_solve_matches_golden(name, monkeypatch):
     monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+    monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
     pdn, pds, diag = SOLVE_GOLDEN[(name, "optimized")]
     res = solve(builtin_graph(name), SolverConfig(workers=2))
     assert (res.pdn, res.pds, dataclasses.astuple(res.diagnostics)) == (pdn, pds, diag)
@@ -187,6 +188,7 @@ def test_pool_driven_solve_matches_golden(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ALLMINPDS_GOLDEN))
 def test_allminpds_matches_golden(name, workers, monkeypatch):
     monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+    monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
     sets = allminpds(builtin_graph(name), SolverConfig(workers=workers))
     assert [sorted(s) for s in sets] == ALLMINPDS_GOLDEN[name]
 
@@ -215,6 +217,7 @@ def test_force_log_matches_golden(name, pmus):
 @pytest.mark.parametrize("name, mode", sorted(SMALL_SOLVE_GOLDEN))
 def test_small_graph_solve_matches_golden(name, mode, workers, chunk, monkeypatch):
     monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
+    monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
     pdn, pds, diag, per_component, no_pipeline = SMALL_SOLVE_GOLDEN[(name, mode)]
     res = solve(_small_graph(name), SolverConfig(workers=workers, mode=mode))
     assert (res.pdn, res.pds, dataclasses.astuple(res.diagnostics)) == (pdn, pds, diag)

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import signal
+import types
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -237,6 +238,7 @@ class TestParallelDeterminism:
         from powerdom import builtin_graph
 
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         g = builtin_graph(builtin)
         outputs = {
             w: solve(g, SolverConfig(workers=w))
@@ -250,6 +252,7 @@ class TestParallelDeterminism:
 
     def test_random_graphs(self, monkeypatch):
         monkeypatch.setattr(powerdom.search, "_CHUNK", 8)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         for seed in range(5):
             g = erdos_renyi_connected(30, 0.15, seed)
             results = [solve(g, SolverConfig(workers=w)) for w in (1, 2, 8)]
@@ -276,6 +279,7 @@ class TestAllMinPds:
 
     def test_worker_count_does_not_change_output(self, zim, monkeypatch):
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         a = allminpds(zim, SolverConfig(workers=1))
         b = allminpds(zim, SolverConfig(workers=8))
         assert a == b
@@ -328,8 +332,9 @@ class TestLabelOrder:
 
 
 class TestPoolDecision:
-    """A level is scanned through the fork pool only when workers > 1 and
-    it has more than `_CHUNK` ranks."""
+    """A search scans its blocks in this process, and at workers > 1 hands
+    every remaining block to the fork pool once it has run `_POOL_AFTER`
+    seconds."""
 
     @pytest.fixture
     def contexts(self, monkeypatch):
@@ -343,28 +348,84 @@ class TestPoolDecision:
         monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spy)
         return started
 
-    def scan(self, g, k, workers, first_only=False):
+    @staticmethod
+    def clock(mp, blocks):
+        """Give the search a clock that advances one second a reading, so
+        that at workers > 1 a search scans its first blocks blocks in this
+        process and the rest on the pool."""
+        ticks = itertools.count()
+        mp.setattr(powerdom.search, "time", types.SimpleNamespace(perf_counter=ticks.__next__))
+        mp.setattr(powerdom.search, "_POOL_AFTER", blocks + 0.5)
+
+    def scan(self, g, levels, workers, first_only=False):
         idx = tuple(range(g.node_count))
-        found = _scan_levels(g.adjacency, (), idx, (k,), first_only, workers)
+        found = _scan_levels(g.adjacency, (), idx, levels, first_only, workers)
         return [] if found is None else found[1]
 
-    @pytest.mark.parametrize("chunk", [55, 4096])
-    def test_level_within_one_chunk_stays_in_process(self, zim, contexts, monkeypatch, chunk):
-        # level 2 of zim's 11 nodes has C(11, 2) = 55 ranks
-        monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
-        assert self.scan(zim, 2, workers=2) == self.scan(zim, 2, workers=1)
+    def test_short_searches_stay_in_process(self, zim, fig3, contexts):
+        for g in (zim, fig3):
+            for mode in ("optimized", "naive"):
+                pooled = solve(g, SolverConfig(workers=2, mode=mode))
+                serial = solve(g, SolverConfig(workers=1, mode=mode))
+                assert (pooled.pds, pooled.diagnostics) == (serial.pds, serial.diagnostics)
+            assert allminpds(g, SolverConfig(workers=2)) == allminpds(g, SolverConfig(workers=1))
         assert contexts == []
 
     @pytest.mark.parametrize("first_only", [False, True])
-    def test_level_over_several_chunks_starts_the_pool(
+    def test_pool_starts_on_the_first_block_at_zero(
         self, zim, contexts, monkeypatch, first_only
     ):
-        monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
-        hits = self.scan(zim, 2, workers=2, first_only=first_only)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
+        made = self.recorded_initargs(monkeypatch)
+        # level 1 has no hit; it is one block, and the pool scans it
+        hits = self.scan(zim, (1, 2), workers=2, first_only=first_only)
         assert contexts == ["fork"]
-        expected = self.scan(zim, 2, workers=1)
+        ((_, (full, _)),) = made
+        assert full == 0
+        expected = self.scan(zim, (1, 2), workers=1)
         assert len(expected) == 13
         assert hits == (expected[:1] if first_only else expected)
+
+    # the spies only record, so they may span the examples
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(structured_graphs, st.integers(0, 6))
+    def test_handoff_mid_level_keeps_the_hits(self, contexts, g, blocks):
+        """A pool that starts after any number of in-process blocks, in the
+        middle of a level or between two, returns the hits of the scan at
+        one worker, and solve counts the same subsets."""
+        m = g.node_count
+        calls = []
+
+        def spy(*args):
+            calls.append(args[4:8])
+            return _scan_range(*args)
+
+        for first_only in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(powerdom.search, "_CHUNK", 4)
+                mp.setattr(powerdom.search, "_scan_range", spy)
+                calls.clear()
+                serial = self.scan(g, range(1, m + 1), workers=1, first_only=first_only)
+                scanned = calls[:]
+                self.clock(mp, blocks)
+                calls.clear()
+                del contexts[:]
+                pooled = self.scan(g, range(1, m + 1), workers=2, first_only=first_only)
+            assert pooled == serial
+            # the spy runs in the pool's workers too, but records only there
+            assert calls == scanned[:blocks]
+            assert contexts == (["fork"] if blocks < len(scanned) else [])
+        for mode in ("optimized", "naive"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(powerdom.search, "_CHUNK", 4)
+                self.clock(mp, blocks)
+                pooled = solve(g, SolverConfig(workers=2, mode=mode))
+            serial = solve(g, SolverConfig(workers=1, mode=mode))
+            assert (pooled.pds, pooled.diagnostics) == (serial.pds, serial.diagnostics)
 
     # the contexts spy only records, so it may span the examples
     @settings(
@@ -392,7 +453,7 @@ class TestPoolDecision:
                 mp.setattr(powerdom.search, "_CHUNK", 4)
                 mp.setattr(powerdom.search, "_scan_range", spy)
                 specs = list(_blocks(m, k))
-                hits = self.scan(g, k, workers=1, first_only=first_only)
+                hits = self.scan(g, (k,), workers=1, first_only=first_only)
             whole = _scan_range(adj, (), idx, _Forts(adj, idx), k, (), 0, m - k + 1, first_only)
             assert hits == whole
             scanned = len(specs)
@@ -418,6 +479,7 @@ class TestPoolDecision:
 
         monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spawn)
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         pooled = allminpds(zim, SolverConfig(workers=2))
         assert started
         assert len(pooled) == 13
@@ -427,30 +489,42 @@ class TestPoolDecision:
     @staticmethod
     def recorded_initargs(monkeypatch):
         """Patch the executor class that the pool is made from to record
-        each pool's initargs, with the table's fort bits at that time."""
+        each pool's initargs, with the table's fort bits and candidate
+        masks at that time."""
         import concurrent.futures.process as process
 
         made = []
 
         class Recording(process.ProcessPoolExecutor):
             def __init__(self, workers, context, initializer, initargs):
-                made.append((initargs, getattr(initargs[-1], "full", None)))
+                forts = initargs[-1]
+                made.append((initargs, (forts.full, tuple(forts.masks))))
                 super().__init__(workers, context, initializer, initargs)
 
         monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
         return made
 
     def test_workers_start_from_the_search_table(self, ieee39, monkeypatch):
-        """A naive solve of ieee39 at 64-rank blocks scans level 1 (39
-        ranks) in this process and pools level 2, so the pool's workers
-        start with the forts that level 1 found."""
+        """A naive solve of ieee39 at 64-rank blocks, with the pool starting
+        after 4 blocks, scans level 1 (39 ranks, one block) and 3 blocks of
+        level 2 in this process and pools the rest; the pool's workers start
+        with the forts that those blocks found, and no others."""
+        blocks = 4
         monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+        g, seeds, cands = plan(ieee39, "naive")
+        cand = tuple(g.index_of(v) for v in cands)
+        specs = [(k, *b, True) for k in (1, 2) for b in _blocks(len(cand), k)]
+        forts = _Forts(g.adjacency, cand)
+        for spec in specs[:blocks]:
+            assert _scan_range(g.adjacency, (), cand, forts, *spec) == []
+        self.clock(monkeypatch, blocks)
         made = self.recorded_initargs(monkeypatch)
         res = solve(ieee39, SolverConfig(workers=2, mode="naive"))
         assert res.pdn == 5
-        ((initargs, full),) = made
+        ((initargs, table),) = made
         assert len(initargs) == 4 and isinstance(initargs[-1], _Forts)
-        assert full != 0
+        assert forts.full != 0
+        assert table == (forts.full, tuple(forts.masks))
         assert multiprocessing.active_children() == []
 
     def test_pool_table_survives_spawn(self, ieee39, monkeypatch):
@@ -461,9 +535,11 @@ class TestPoolDecision:
             powerdom.search.multiprocessing, "get_context", lambda method=None: real("spawn")
         )
         monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+        # level 1 in this process, the later levels on the pool
+        self.clock(monkeypatch, 1)
         made = self.recorded_initargs(monkeypatch)
         pooled = solve(ieee39, SolverConfig(workers=2, mode="naive"))
-        ((initargs, full),) = made
+        ((initargs, (full, _)),) = made
         assert isinstance(initargs[-1], _Forts) and full != 0
         serial = solve(ieee39, SolverConfig(workers=1, mode="naive"))
         assert (pooled.pdn, pooled.pds) == (serial.pdn, serial.pds)
@@ -472,9 +548,10 @@ class TestPoolDecision:
         assert multiprocessing.active_children() == []
 
     def test_first_hit_pooled_solve_leaves_no_worker(self, ieee39, monkeypatch):
-        # 64-rank blocks: levels 2-5 are pooled, and level 5's hit comes
-        # with blocks still in flight
+        # 64-rank blocks, all pooled: level 5's hit comes with blocks still
+        # in flight
         monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         assert solve(ieee39, SolverConfig(workers=2, mode="naive")).pdn == 5
         assert multiprocessing.active_children() == []
 
@@ -488,6 +565,7 @@ class TestPoolDecision:
 
         monkeypatch.setattr(powerdom.search, "_force_closure", failing)
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         with pytest.raises(RuntimeError, match="worker failed"):
             solve(ieee39, SolverConfig(workers=2, mode="naive"))
         assert multiprocessing.active_children() == []
@@ -521,7 +599,7 @@ except InternalError as exc:
     @staticmethod
     def check_ctrl_c(hook: str, begun: int):
         """SIGINT to the process group of a child running a pooled naive
-        solve at _CHUNK = 64, sent once begun of its 2 workers have entered
+        solve at _CHUNK = 64 and _POOL_AFTER = 0, sent once begun of its 2 workers have entered
         powerdom.search.<hook>: the child ends by KeyboardInterrupt within
         20 s, with no worker and nothing of its group left. The solve tests
         765,175 subsets, so it cannot end before the signal: the fort
@@ -540,6 +618,7 @@ def announce(*args):
     return real(*args)
 powerdom.search.{hook} = announce
 powerdom.search._CHUNK = 64
+powerdom.search._POOL_AFTER = 0
 try:
     solve(erdos_renyi_connected(80, 0.05, 2), SolverConfig(workers=2, mode="naive"))
 finally:
@@ -854,6 +933,7 @@ class TestFortFilter:
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_CHUNK", chunk)
+            mp.setattr(powerdom.search, "_POOL_AFTER", 0)
             tables = cls.recorded_tables(mp)
             assert _scan_levels(adj, seeds, cand, range(1, m + 1), True, workers) == first
         (forts,) = tables
@@ -944,6 +1024,7 @@ class TestFortFilter:
         # each worker extends its own copy of the table, so only the closures differ
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerdom.search, "_CHUNK", 4)
+            mp.setattr(powerdom.search, "_POOL_AFTER", 0)
             pooled = allminpds(g, SolverConfig(workers=2))
         assert pooled == allminpds(g, SolverConfig(workers=1))
 
