@@ -371,6 +371,16 @@ class TestPoolDecision:
             assert allminpds(g, SolverConfig(workers=2)) == allminpds(g, SolverConfig(workers=1))
         assert contexts == []
 
+    @pytest.mark.parametrize("chunk", [55, 4096])
+    def test_level_within_one_chunk_stays_in_process(self, zim, contexts, monkeypatch, chunk):
+        # level 2 of zim's 11 nodes has C(11, 2) = 55 ranks, one block at
+        # either chunk; the clock hands off only after that block, so the
+        # level ends before a pool could start
+        monkeypatch.setattr(powerdom.search, "_CHUNK", chunk)
+        self.clock(monkeypatch, 1)
+        assert self.scan(zim, (2,), workers=2) == self.scan(zim, (2,), workers=1)
+        assert contexts == []
+
     @pytest.mark.parametrize("first_only", [False, True])
     def test_pool_starts_on_the_first_block_at_zero(
         self, zim, contexts, monkeypatch, first_only
