@@ -165,6 +165,11 @@ class DistanceMap:
 
 _G6_HEADER = b">>graph6<<"
 
+# The order field's forms, by the "~" bytes that open it: the 6-bit digits
+# that follow and the orders below which the form is used. A shorter form
+# never starts with the digit 63, which would read as "~".
+_G6_ORDER_FORMS = ((b"", 1, 63), (b"~", 3, 258048), (b"~~", 6, 2 ** 36))
+
 
 def _g6_check_byte(b: int) -> int:
     if b < 63 or b > 126:
@@ -172,25 +177,27 @@ def _g6_check_byte(b: int) -> int:
     return b - 63
 
 
+def _g6_order(n: int) -> bytes:
+    """The graph6 order field of n: the shortest form that holds it."""
+    for prefix, digits, end in _G6_ORDER_FORMS:
+        if n < end:
+            return prefix + bytes(((n >> 6 * i) & 63) + 63 for i in reversed(range(digits)))
+    raise ParameterError("graph6 supports fewer than 2^36 nodes")
+
+
 def _g6_read_order(data: bytes) -> Tuple[int, int]:
+    """The order and the length of the order field that opens data."""
     if not data:
         raise FormatError("empty graph6 data")
-    c0 = data[0]
-    if c0 != 126:
-        return _g6_check_byte(c0), 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise FormatError("truncated graph6 order field")
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | _g6_check_byte(b)
-        return n, 8
-    if len(data) < 4:
+    head = data[:2]
+    prefix, digits, _ = _G6_ORDER_FORMS[len(head) - len(head.lstrip(b"~"))]
+    end = len(prefix) + digits
+    if len(data) < end:
         raise FormatError("truncated graph6 order field")
     n = 0
-    for b in data[1:4]:
+    for b in data[len(prefix):end]:
         n = (n << 6) | _g6_check_byte(b)
-    return n, 4
+    return n, end
 
 
 def parse_graph6(data) -> Graph:
@@ -229,35 +236,19 @@ def parse_graph6(data) -> Graph:
 
 
 def write_graph6(g: Graph) -> bytes:
-    """Encode a graph as canonical graph6 bytes (no header, zero padding)."""
+    """Encode a graph as canonical graph6 bytes (no header, zero padding).
+
+    Edge (i, j), i < j, is bit j(j - 1)/2 + i of the body, six bits to a
+    byte, high bit first, and each byte is offset by 63."""
     n = g.node_count
-    if n >= 2 ** 36:
-        raise ParameterError("graph6 supports fewer than 2^36 nodes")
-    out = bytearray()
-    if n <= 62:
-        out.append(n + 63)
-    elif n <= 258047:
-        out.append(126)
-        for shift in (12, 6, 0):
-            out.append(((n >> shift) & 63) + 63)
-    else:
-        out.extend((126, 126))
-        for shift in (30, 24, 18, 12, 6, 0):
-            out.append(((n >> shift) & 63) + 63)
-    adjsets = [set(nbrs) for nbrs in g.adjacency]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if j in adjsets[i] else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    order = _g6_order(n)
+    # each byte starts as "?", 63 with no bit set, and each edge adds its
+    # own bit once
+    body = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges_by_index():
+        bit = j * (j - 1) // 2 + i
+        body[bit // 6] += 32 >> (bit % 6)
+    return order + bytes(body)
 
 
 # -- edge-list text --------------------------------------------------------

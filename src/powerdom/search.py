@@ -63,7 +63,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, islice, product
 from operator import or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -100,11 +100,16 @@ __all__ = [
 ]
 
 
+def _cpus() -> int:
+    """The processors this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 2
+
+
 def default_workers() -> int:
     """The processors this process may run on less one, floor 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(len(os.sched_getaffinity(0)) - 1, 1)
-    return max((os.cpu_count() or 2) - 1, 1)
+    return max(_cpus() - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -382,9 +387,11 @@ def _scan_levels(adj, seeds, cand, levels, first_only: bool, workers: int):
     A level runs as _blocks, and every block runs on one payload, (adj,
     seeds, cand, forts). The blocks run in this process until, at workers
     > 1, the search has run _POOL_AFTER seconds. From then on a fork
-    process pool scans every remaining block, from the one at hand to the
-    end of the last level; it starts with the payload, so a worker starts
-    from the forts found so far and extends its own copy after that. The
+    process pool, of workers processes but no more than the CPUs this
+    process may use, scans every remaining block, from the one at hand to
+    the end of the last level; it starts with the payload, so a worker
+    starts from the forts found so far and extends its own copy after
+    that. The
     search's own clock decides, since the cost of a rank varies too much
     for a rank count to say when a pool pays. Blocks come back in rank
     order, the in-process ones first, so a first-hit level ends at its
@@ -393,20 +400,21 @@ def _scan_levels(adj, seeds, cand, levels, first_only: bool, workers: int):
     worker is killed."""
     payload = (adj, seeds, cand, _Forts(adj, cand))
     m = len(cand)
-    pool = None
+    pool = size = None
     handoff = time.perf_counter() + _POOL_AFTER
 
     def results(specs):
-        nonlocal pool
+        nonlocal pool, size
         for spec in specs:
             if pool is None and workers > 1 and time.perf_counter() >= handoff:
                 # imported here: at module top it would slow `import powerdom`
                 from concurrent.futures.process import ProcessPoolExecutor
 
                 fork = multiprocessing.get_context("fork")
-                pool = ProcessPoolExecutor(workers, fork, _worker_init, payload)
+                size = min(workers, _cpus())
+                pool = ProcessPoolExecutor(size, fork, _worker_init, payload)
             if pool is not None:
-                yield from _pooled(pool, workers, chain((spec,), specs))
+                yield from _pooled(pool, size, chain((spec,), specs))
                 return
             yield _scan_range(*payload, *spec)
 
@@ -564,12 +572,19 @@ def solve(g: Graph, config: Optional[SolverConfig] = None) -> SolveResult:
 
 def allminpds(g: Graph, config: Optional[SolverConfig] = None) -> List[FrozenSet[str]]:
     """All minimum power dominating sets of the (original, uncontracted)
-    graph, in deterministic enumeration order."""
+    graph, in the order of itertools.combinations(sorted(g.nodes), pdn).
+
+    Each component's sets are enumerated at its own pdn, and each set of
+    the graph joins one set of every component."""
     if g.node_count == 0:
         raise ParameterError("allminpds requires a nonempty graph")
     cfg = config or SolverConfig()
-    k = solve(g, cfg).pdn
-    labels = sorted(g.nodes)
-    idx = tuple(g.index_of(v) for v in labels)
-    _, hits = _scan_levels(g.adjacency, (), idx, (k,), False, cfg.workers)
-    return [frozenset(labels[p] for p in hit) for hit in hits]
+    per_component = []
+    for comp, k, _ in solve(g, cfg).per_component:
+        sub = g.induced(comp)
+        labels = sorted(comp)
+        idx = tuple(sub.index_of(v) for v in labels)
+        _, hits = _scan_levels(sub.adjacency, (), idx, (k,), False, cfg.workers)
+        per_component.append([tuple(labels[p] for p in hit) for hit in hits])
+    sets = sorted(tuple(sorted(chain(*parts))) for parts in product(*per_component))
+    return [frozenset(s) for s in sets]

@@ -20,6 +20,8 @@ from powerdom import (
     write_graph6,
 )
 
+from powerdom.graph import _g6_order, _g6_read_order
+
 from families import LABEL_ALPHABET, byte_key, relabeled
 from oracles import oracle_articulation_points, oracle_shortest_distance, random_graph
 
@@ -157,6 +159,34 @@ class TestGraph6:
     def test_non_ascii_text_rejected(self):
         with pytest.raises(FormatError, match="^graph6 data must be ASCII$"):
             parse_graph6("B\u00e9")
+
+    @pytest.mark.parametrize(
+        "n, length",
+        [(0, 1), (1, 1), (62, 1), (63, 4), (258047, 4), (258048, 8), (2 ** 36 - 1, 8)],
+    )
+    def test_order_field_round_trip(self, n, length):
+        field = _g6_order(n)
+        assert len(field) == length
+        assert _g6_read_order(field) == (n, length)
+
+    def test_order_past_the_format_rejected(self):
+        message = re.escape("graph6 supports fewer than 2^36 nodes")
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            _g6_order(2 ** 36)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 30), st.sampled_from([0, 1, 2, 7, 61, 62, 63, 64, 65, 70]))
+    def test_body_is_the_pair_bits_in_column_order(self, seed, n):
+        """The body holds one bit per pair (i, j), i < j, in the order j,
+        then i, six to a byte, high bit first and zero padded, each byte
+        offset by 63."""
+        g = random_graph(seed, n, 0.3)
+        adj = g.adjacency
+        bits = "".join("1" if j in adj[i] else "0" for j in range(n) for i in range(j))
+        bits += "0" * (-len(bits) % 6)
+        body = bytes(int(bits[b : b + 6], 2) + 63 for b in range(0, len(bits), 6))
+        data = write_graph6(g)
+        assert data == _g6_order(n) + body
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 30), st.integers(1, 30))

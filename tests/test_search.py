@@ -38,10 +38,19 @@ from powerdom.propagation import _force_closure, _minimal_fort, _observe, observ
 from powerdom.search import _Forts, _blocks, _scan_levels, _scan_range
 
 import children
-from families import byte_key, relabeled, renamed, structured_graphs
+from families import (
+    byte_key,
+    chorded_cycles,
+    grids,
+    relabeled,
+    renamed,
+    structured_graphs,
+    trees,
+)
 from oracles import (
     oracle_is_minimal_fort,
     oracle_is_pds,
+    oracle_min_pds_sets,
     oracle_pdn,
     oracle_zero_force,
     random_graph,
@@ -283,6 +292,45 @@ class TestAllMinPds:
         a = allminpds(zim, SolverConfig(workers=1))
         b = allminpds(zim, SolverConfig(workers=8))
         assert a == b
+
+    def test_thousand_stars_give_one_set(self):
+        """1,000 disjoint K_{1,3}: each star's only minimum PDS is its
+        center. A scan of the whole graph at pdn 1,000 recursed once per
+        level and raised RecursionError."""
+        labels, edges = [], []
+        for s in range(1000):
+            leaves = [f"{s}.{i}" for i in range(3)]
+            labels += [f"{s}", *leaves]
+            edges += [(f"{s}", leaf) for leaf in leaves]
+        assert allminpds(Graph(labels, edges)) == [frozenset(str(s) for s in range(1000))]
+
+    def test_isolated_nodes_give_one_set(self):
+        labels = [str(i) for i in range(1100)]
+        assert allminpds(Graph(labels)) == [frozenset(labels)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(trees(6), grids(3), chorded_cycles(6), st.just(Graph(["0"]))),
+            min_size=2,
+            max_size=3,
+        ).filter(lambda parts: sum(p.node_count for p in parts) <= 14),
+        st.randoms(use_true_random=False),
+    )
+    def test_disjoint_unions_match_the_oracle(self, parts, rng):
+        """The sets of a union of small family graphs, and their order,
+        are those of plain enumeration over the whole graph; the labels are
+        shuffled so the components interleave in label order."""
+        names = [str(i) for i in range(sum(p.node_count for p in parts))]
+        rng.shuffle(names)
+        labels, edges, at = [], [], 0
+        for p in parts:
+            name = dict(zip(p.nodes, names[at : at + p.node_count]))
+            at += p.node_count
+            labels += name.values()
+            edges += [(name[u], name[v]) for u, v in p.edges()]
+        g = Graph(labels, edges)
+        assert allminpds(g, SolverConfig(workers=1)) == oracle_min_pds_sets(g)
 
 
 class TestLabelOrder:
@@ -555,6 +603,40 @@ class TestPoolDecision:
         assert (pooled.pdn, pooled.pds) == (serial.pdn, serial.pds)
         assert pooled.diagnostics == serial.diagnostics
         assert pooled.diagnostics.subsets_checked == 95047
+        assert multiprocessing.active_children() == []
+
+    def test_pool_never_exceeds_the_cpus(self, ieee39, monkeypatch):
+        """A pooled solve asked for a million workers starts a pool of at
+        most the CPUs this process may use, submits about two blocks per
+        pooled worker ahead, and equals the solve at one worker. The
+        executor refuses a larger count before it makes any process."""
+        import concurrent.futures.process as process
+
+        cpus = len(os.sched_getaffinity(0))
+        sizes, windows = [], []
+
+        class Capped(process.ProcessPoolExecutor):
+            def __init__(self, workers, context, initializer, initargs):
+                if workers > cpus:
+                    raise AssertionError(f"a pool of {workers} workers on {cpus} CPUs")
+                sizes.append(workers)
+                super().__init__(workers, context, initializer, initargs)
+
+        real = powerdom.search._pooled
+
+        def pooled(pool, workers, specs):
+            windows.append(workers)
+            return real(pool, workers, specs)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Capped)
+        monkeypatch.setattr(powerdom.search, "_pooled", pooled)
+        monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
+        monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
+        pooled_res = solve(ieee39, SolverConfig(workers=10**6, mode="naive"))
+        serial = solve(ieee39, SolverConfig(workers=1, mode="naive"))
+        assert sizes and windows and max(sizes + windows) <= cpus
+        assert (pooled_res.pdn, pooled_res.pds) == (serial.pdn, serial.pds)
+        assert pooled_res.diagnostics == serial.diagnostics
         assert multiprocessing.active_children() == []
 
     def test_first_hit_pooled_solve_leaves_no_worker(self, ieee39, monkeypatch):
