@@ -97,15 +97,27 @@ def _result_json(result, timing_ms: float) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    """pdn and minpds: the same solve, with the command's plain-text line."""
+    """pdn, minpds and analyze: one solve, printed as JSON or as plain text."""
     g = _load_graph(args)
     start = time.perf_counter()
     result = solve(g, _config(args))
     ms = (time.perf_counter() - start) * 1000
-    if args.json:
-        print(json.dumps(_result_json(result, ms)))
-    else:
-        print(args.plain(result))
+    payload = _result_json(result, ms)
+    if args.command == "analyze":
+        payload["analysis"] = [
+            _analyze_component(nodes, pipeline, args.mode)
+            for (nodes, _, _), pipeline in zip(result.per_component, result.pipeline)
+        ]
+    # N and N' print exactly at any size, so the output alone lifts the limit
+    # on digits that Python puts on int-to-text conversion (since 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(payload) if args.json else args.plain(g, result, payload))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -164,52 +176,38 @@ def _analyze_component(nodes, pipeline, mode: str) -> dict:
     return info
 
 
-def _cmd_analyze(args) -> int:
-    g = _load_graph(args)
-    cfg = _config(args)
-    start = time.perf_counter()
-    result = solve(g, cfg)
-    ms = (time.perf_counter() - start) * 1000
-    components = [
-        _analyze_component(nodes, pipeline, cfg.mode)
-        for (nodes, _, _), pipeline in zip(result.per_component, result.pipeline)
-    ]
-    payload = _result_json(result, ms)
-    payload["analysis"] = components
-    if args.json:
-        print(json.dumps(payload))
-        return EXIT_OK
-    print(f"nodes: {g.node_count}  edges: {g.edge_count}  components: {len(components)}")
+def _analysis_text(g, result, payload) -> str:
+    """analyze's plain text: each component's reports, then the answer."""
+    components = payload["analysis"]
+    lines = [f"nodes: {g.node_count}  edges: {g.edge_count}  components: {len(components)}"]
     for idx, comp in enumerate(components):
-        print(f"component {idx}: {comp['node_count']} nodes")
+        lines.append(f"component {idx}: {comp['node_count']} nodes")
         note = comp.get("trivial") or comp.get("naive")
         if note:
-            print(f"  {note}")
+            lines.append(f"  {note}")
             continue
         con = comp["contraction"]
-        print(f"  contraction removed {len(con['removed'])} node(s): {con['removed']}")
         pref = comp["preferred"]
-        print(f"  b-preferred: {pref['b_preferred']}")
-        print(f"  f-preferred: {pref['f_preferred']}")
-        for v, fort in pref["forts"].items():
-            print(f"    fort of {v}: {fort}")
-        print(f"  p-preferred: {pref['p_preferred']}")
-        print(f"  pref: {pref['pref']}")
-        print("  candidates (ordered):")
-        for c in comp["candidates"]:
-            print(
-                f"    {c['node']}: degree {c['degree']}, "
-                f"pref distance {c['pref_distance']}, score {c['score']}"
-            )
+        lines += [
+            f"  contraction removed {len(con['removed'])} node(s): {con['removed']}",
+            f"  b-preferred: {pref['b_preferred']}",
+            f"  f-preferred: {pref['f_preferred']}",
+            *(f"    fort of {v}: {fort}" for v, fort in pref["forts"].items()),
+            f"  p-preferred: {pref['p_preferred']}",
+            f"  pref: {pref['pref']}",
+            "  candidates (ordered):",
+            *(f"    {c['node']}: degree {c['degree']}, pref distance {c['pref_distance']}, "
+              f"score {c['score']}" for c in comp["candidates"]),
+        ]
     d = payload["diagnostics"]
-    print(
-        f"pdn: {result.pdn}  pds: {list(result.pds)}\n"
+    lines += [
+        f"pdn: {result.pdn}  pds: {list(result.pds)}",
         f"diagnostics: N={d['N']} N'={d['N_prime']} p={d['p']} d={d['d']} "
         f"r={d['r']} candidates={d['candidates']} removed={d['removed']} "
         f"subsets_checked={d['subsets_checked']} "
-        f"levels_completed={d['levels_completed']}"
-    )
-    return EXIT_OK
+        f"levels_completed={d['levels_completed']}",
+    ]
+    return "\n".join(lines)
 
 
 def _cmd_convert(args) -> int:
@@ -252,11 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pdn", help="print the power domination number")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_solve, plain=lambda result: result.pdn)
+    p.set_defaults(func=_cmd_solve, plain=lambda g, result, payload: result.pdn)
 
     p = sub.add_parser("minpds", help="print one minimum power dominating set")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_solve, plain=lambda result: json.dumps(list(result.pds)))
+    p.set_defaults(func=_cmd_solve, plain=lambda g, result, payload: json.dumps(list(result.pds)))
 
     p = sub.add_parser("allminpds", help="print every minimum power dominating set")
     _add_input_options(p)
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="print the pre-processing reports")
     _add_input_options(p)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_solve, plain=_analysis_text)
 
     p = sub.add_parser("convert", help="transcode between graph6 and edge list")
     _add_input_options(p, with_solver=False)

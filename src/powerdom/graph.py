@@ -170,6 +170,9 @@ _G6_HEADER = b">>graph6<<"
 # never starts with the digit 63, which would read as "~".
 _G6_ORDER_FORMS = ((b"", 1, 63), (b"~", 3, 258048), (b"~~", 6, 2 ** 36))
 
+# The bytes that hold six bits each: byte b holds b - 63, so "?" holds none.
+_G6_DIGITS = bytes(range(63, 127))
+
 
 def _g6_check_byte(b: int) -> int:
     if b < 63 or b > 126:
@@ -223,15 +226,29 @@ def parse_graph6(data) -> Graph:
         raise FormatError(
             f"graph6 bit section has {len(body)} bytes, expected {need} for n={n}"
         )
-    values = [_g6_check_byte(b) for b in body]
+    import re  # here, so that importing the package does not load it
+
+    bad = body.translate(None, _G6_DIGITS)
+    if bad:
+        _g6_check_byte(bad[0])
     labels = [str(i) for i in range(n)]
     edges = []
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            if values[bit // 6] & (1 << (5 - bit % 6)):
-                edges.append((labels[i], labels[j]))
-            bit += 1
+    # bit j(j - 1)/2 + i is edge (i, j): column j holds the bits from
+    # base = j(j - 1)/2 on, and the set bits come in ascending order
+    j = base = 0
+    for byte in re.finditer(rb"[^?]", body):
+        pos = byte.start()
+        v = body[pos] - 63
+        while v:
+            top = v.bit_length() - 1
+            v ^= 1 << top
+            bit = 6 * pos + 5 - top
+            if bit >= nbits:
+                break
+            while bit >= base + j:
+                base += j
+                j += 1
+            edges.append((labels[bit - base], labels[j]))
     return Graph(labels, edges)
 
 

@@ -56,7 +56,6 @@ in the closures they save; the hits and their order do not change.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import signal
 import time
@@ -407,7 +406,8 @@ def _scan_levels(adj, seeds, cand, levels, first_only: bool, workers: int):
         nonlocal pool, size
         for spec in specs:
             if pool is None and workers > 1 and time.perf_counter() >= handoff:
-                # imported here: at module top it would slow `import powerdom`
+                # imported here: at module top they would slow `import powerdom`
+                import multiprocessing
                 from concurrent.futures.process import ProcessPoolExecutor
 
                 fork = multiprocessing.get_context("fork")

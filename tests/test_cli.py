@@ -1,8 +1,16 @@
 import json
+import re
+import sys
 
 import pytest
 
-from powerdom import builtin_graph, is_power_dominating_set, write_edge_list
+from powerdom import (
+    builtin_graph,
+    is_power_dominating_set,
+    parse_edge_list,
+    solve,
+    write_edge_list,
+)
 from powerdom.cli import main
 
 import children
@@ -373,3 +381,136 @@ class TestFormatOverride:
         path.write_text("1 2\n")
         code, _, _ = run_cli(capsys, "pdn", str(path), "--format", "graph6")
         assert code == 2
+
+
+# The whole output of each command, "T" standing for the timing. zim+c4 is
+# zim plus a disjoint 4-cycle c0 c1 c2 c3.
+PINNED_OUTPUT = {
+    "analyze zim": """\
+nodes: 11  edges: 15  components: 1
+component 0: 11 nodes
+  contraction removed 0 node(s): []
+  b-preferred: []
+  f-preferred: ['9']
+    fort of 9: ['10', '11']
+  p-preferred: None
+  pref: ['9']
+  candidates (ordered):
+    5: degree 4, pref distance 1, score 4.5000
+    7: degree 4, pref distance 1, score 4.5000
+    2: degree 3, pref distance 2, score 3.6667
+pdn: 2  pds: ['9', '5']
+diagnostics: N=12 N'=1 p=1 d=6 r=1 candidates=3 removed=0 subsets_checked=2 levels_completed=0
+""",
+    "analyze zim --json": (
+        '{"pdn": 2, "pds": ["9", "5"], "components": [{"nodes": ["1", "10", "11",'
+        ' "2", "3", "4", "5", "6", "7", "8", "9"], "pdn": 2, "pds": ["9", "5"]}],'
+        ' "diagnostics": {"N": 12, "N_prime": 1, "p": 1, "d": 6, "r": 1, '
+        '"candidates": 3, "removed": 0, "subsets_checked": 2, '
+        '"levels_completed": 0}, "timing_ms": T, "analysis": [{"nodes": ["1", '
+        '"10", "11", "2", "3", "4", "5", "6", "7", "8", "9"], "node_count": 11, '
+        '"contraction": {"removed": [], "rules": {}, "contracted_nodes": 11, '
+        '"contracted_edges": 15}, "preferred": {"b_preferred": [], '
+        '"f_preferred": ["9"], "forts": {"9": ["10", "11"]}, "p_preferred": null,'
+        ' "pref": ["9"]}, "candidates": [{"node": "5", "degree": 4, '
+        '"pref_distance": 1, "score": "4.5000"}, {"node": "7", "degree": 4, '
+        '"pref_distance": 1, "score": "4.5000"}, {"node": "2", "degree": 3, '
+        '"pref_distance": 2, "score": "3.6667"}]}]}\n'
+    ),
+    "analyze zim+c4": """\
+nodes: 15  edges: 19  components: 2
+component 0: 11 nodes
+  contraction removed 0 node(s): []
+  b-preferred: []
+  f-preferred: ['9']
+    fort of 9: ['10', '11']
+  p-preferred: None
+  pref: ['9']
+  candidates (ordered):
+    5: degree 4, pref distance 1, score 4.5000
+    7: degree 4, pref distance 1, score 4.5000
+    2: degree 3, pref distance 2, score 3.6667
+component 1: 4 nodes
+  path or cycle: any single node is a power dominating set
+pdn: 3  pds: ['9', '5', 'c0']
+diagnostics: N=121 N'=4 p=1 d=10 r=1 candidates=3 removed=0 subsets_checked=2 levels_completed=0
+""",
+    "analyze zim+c4 --json": (
+        '{"pdn": 3, "pds": ["9", "5", "c0"], "components": [{"nodes": ["1", "10",'
+        ' "11", "2", "3", "4", "5", "6", "7", "8", "9"], "pdn": 2, "pds": ["9", '
+        '"5"]}, {"nodes": ["c0", "c1", "c2", "c3"], "pdn": 1, "pds": ["c0"]}], '
+        '"diagnostics": {"N": 121, "N_prime": 4, "p": 1, "d": 10, "r": 1, '
+        '"candidates": 3, "removed": 0, "subsets_checked": 2, '
+        '"levels_completed": 0}, "timing_ms": T, "analysis": [{"nodes": ["1", '
+        '"10", "11", "2", "3", "4", "5", "6", "7", "8", "9"], "node_count": 11, '
+        '"contraction": {"removed": [], "rules": {}, "contracted_nodes": 11, '
+        '"contracted_edges": 15}, "preferred": {"b_preferred": [], '
+        '"f_preferred": ["9"], "forts": {"9": ["10", "11"]}, "p_preferred": null,'
+        ' "pref": ["9"]}, "candidates": [{"node": "5", "degree": 4, '
+        '"pref_distance": 1, "score": "4.5000"}, {"node": "7", "degree": 4, '
+        '"pref_distance": 1, "score": "4.5000"}, {"node": "2", "degree": 3, '
+        '"pref_distance": 2, "score": "3.6667"}]}, {"nodes": ["c0", "c1", "c2", '
+        '"c3"], "node_count": 4, "trivial": "path or cycle: any single node is a '
+        'power dominating set"}]}\n'
+    ),
+    "analyze zim --mode naive": """\
+nodes: 11  edges: 15  components: 1
+component 0: 11 nodes
+  naive mode: no pre-processing ran; every node was a candidate
+pdn: 2  pds: ['1', '9']
+diagnostics: N=12 N'=12 p=0 d=0 r=0 candidates=11 removed=0 subsets_checked=21 levels_completed=1
+""",
+    "analyze zim --mode naive --json": (
+        '{"pdn": 2, "pds": ["1", "9"], "components": [{"nodes": ["1", "10", "11",'
+        ' "2", "3", "4", "5", "6", "7", "8", "9"], "pdn": 2, "pds": ["1", "9"]}],'
+        ' "diagnostics": {"N": 12, "N_prime": 12, "p": 0, "d": 0, "r": 0, '
+        '"candidates": 11, "removed": 0, "subsets_checked": 21, '
+        '"levels_completed": 1}, "timing_ms": T, "analysis": [{"nodes": ["1", '
+        '"10", "11", "2", "3", "4", "5", "6", "7", "8", "9"], "node_count": 11, '
+        '"naive": "naive mode: no pre-processing ran; every node was a '
+        'candidate"}]}\n'
+    ),
+    "pdn ieee39": '5\n',
+    "minpds ieee39": '["16", "19", "26", "6", "11"]\n',
+}
+
+
+class TestWholeOutput:
+    @pytest.mark.parametrize("key", list(PINNED_OUTPUT))
+    def test_output_is_pinned(self, capsys, tmp_path, key):
+        command, graph, *flags = key.split()
+        if graph == "zim+c4":
+            path = tmp_path / "g.txt"
+            path.write_text(write_edge_list(builtin_graph("zim")) + "c0 c1\nc1 c2\nc2 c3\nc3 c0\n")
+            source = [str(path)]
+        else:
+            source = ["--builtin", graph]
+        code, out, err = run_cli(capsys, command, *source, "--workers", "1", *flags)
+        assert (code, err) == (0, "")
+        assert re.sub(r'"timing_ms": [^,}]+', '"timing_ms": T', out) == PINNED_OUTPUT[key]
+
+
+class TestExactIntegers:
+    def test_any_integer_prints_exactly(self, capsys, tmp_path):
+        """N of 1,000 disjoint K_{1,3} stars has 975 digits, past a limit of
+        640 on int-to-text conversion, which the output alone lifts."""
+        path = tmp_path / "stars.txt"
+        path.write_text("".join(f"c{s} l{s}.{i}\n" for s in range(1000) for i in range(3)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            runs = [
+                run_cli(capsys, *command, str(path), "--workers", "1")
+                for command in (["pdn", "--json"], ["analyze"], ["analyze", "--json"])
+            ]
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert after == 640
+        n_formula = solve(parse_edge_list(path.read_text())).diagnostics.n_formula
+        assert len(str(n_formula)) == 975
+        assert [(code, err) for code, _, err in runs] == [(0, "")] * 3
+        (_, pdn_json, _), (_, text, _), (_, analyze_json, _) = runs
+        assert json.loads(pdn_json)["diagnostics"]["N"] == n_formula
+        assert json.loads(analyze_json)["diagnostics"]["N"] == n_formula
+        assert f"diagnostics: N={n_formula} N'=" in text

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -187,6 +188,49 @@ class TestGraph6:
         body = bytes(int(bits[b : b + 6], 2) + 63 for b in range(0, len(bits), 6))
         data = write_graph6(g)
         assert data == _g6_order(n) + body
+
+    @staticmethod
+    def decode_pairs(n, body):
+        """The edges of a graph6 body, testing every pair (i, j), i < j, in
+        turn: bit j(j - 1)/2 + i, six to a byte, high bit first."""
+        for b in body:
+            if not 63 <= b <= 126:
+                raise FormatError(f"graph6 byte {b} outside printable range [63, 126]")
+        edges = []
+        bit = 0
+        for j in range(1, n):
+            for i in range(j):
+                if (body[bit // 6] - 63) & (32 >> bit % 6):
+                    edges.append((i, j))
+                bit += 1
+        return sorted(edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 30), st.sampled_from([0, 1, 2, 3, 4, 7, 12, 33, 61, 62, 63, 90]))
+    def test_decode_matches_every_pair_tested(self, seed, n):
+        """Random bodies, set padding bits and bytes outside the digits
+        included: the same edges or the same error as the pair decoder."""
+        rng = random.Random(seed)
+        size = (n * (n - 1) // 2 + 5) // 6
+        body = bytearray(rng.choice((63, rng.randint(63, 126))) for _ in range(size))
+        # bytes below 63 or above 126, but no whitespace, which the parser
+        # strips from the end before it reads the body
+        bad = [b for b in range(256) if not 63 <= b <= 126 and b not in b" \t\r\n"]
+        for _ in range(rng.choice((0, 0, 1, 3)) if size else 0):
+            body[rng.randrange(size)] = rng.choice(bad)
+        try:
+            expected = self.decode_pairs(n, body)
+        except FormatError as exc:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(exc))}$"):
+                parse_graph6(_g6_order(n) + bytes(body))
+        else:
+            g = parse_graph6(_g6_order(n) + bytes(body))
+            assert g.nodes == tuple(str(i) for i in range(n))
+            assert sorted(g.edges_by_index()) == expected
+
+    def test_first_bad_body_byte_is_named(self):
+        with pytest.raises(FormatError, match=r"^graph6 byte 127 outside printable range"):
+            parse_graph6(b"E?\x7f\x00")
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 30), st.integers(1, 30))

@@ -393,7 +393,7 @@ class TestPoolDecision:
             started.append(method)
             return real(method)
 
-        monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spy)
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
         return started
 
     @staticmethod
@@ -535,7 +535,7 @@ class TestPoolDecision:
             started.append(method)
             return real("spawn")
 
-        monkeypatch.setattr(powerdom.search.multiprocessing, "get_context", spawn)
+        monkeypatch.setattr(multiprocessing, "get_context", spawn)
         monkeypatch.setattr(powerdom.search, "_CHUNK", 4)
         monkeypatch.setattr(powerdom.search, "_POOL_AFTER", 0)
         pooled = allminpds(zim, SolverConfig(workers=2))
@@ -590,7 +590,7 @@ class TestPoolDecision:
         the pooled solve equals the one at one worker."""
         real = multiprocessing.get_context
         monkeypatch.setattr(
-            powerdom.search.multiprocessing, "get_context", lambda method=None: real("spawn")
+            multiprocessing, "get_context", lambda method=None: real("spawn")
         )
         monkeypatch.setattr(powerdom.search, "_CHUNK", 64)
         # level 1 in this process, the later levels on the pool
@@ -739,12 +739,13 @@ finally:
         self.check_ctrl_c("_worker_init", 1)
 
     def test_import_does_not_load_the_executor(self):
-        """concurrent.futures is imported on a pool's first start only, so
-        a solve that never pools does not pay for it."""
+        """concurrent.futures and multiprocessing are imported on a pool's
+        first start only, so a solve that never pools does not pay for them."""
         code, out, err = children.run(
-            "import sys, powerdom; print('concurrent.futures' in sys.modules)"
+            "import sys, powerdom\n"
+            "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"
         )
-        assert (code, out) == (0, "False\n"), err
+        assert (code, out) == (0, "[False, False]\n"), err
 
 
 class TestScanRange:
