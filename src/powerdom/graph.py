@@ -119,10 +119,10 @@ class Graph:
     def induced(self, labels: Iterable[str]) -> "Graph":
         """Induced subgraph on the given labels, preserving label order. A
         graph is immutable, so keeping every node returns the graph itself."""
-        keep = sorted({self.index_of(lab) for lab in labels})
+        keep = {self.index_of(lab) for lab in labels}
         if len(keep) == len(self._labels):
             return self
-        return self._subgraph(keep)
+        return self._subgraph(sorted(keep))
 
     def _subgraph(self, keep: Sequence[int], extra: Iterable[Tuple[int, int]] = ()) -> "Graph":
         """Graph on the kept indices, in that order, with the edges among

@@ -2,7 +2,12 @@
 shortcut edges form one Graph._subgraph), preferred-node detection in one
 pass over the cut nodes (two or more terminal paths are a special case of
 the terminal-fort rule), redundant-node elimination, and qualitative
-scoring, whose score alone orders the candidates."""
+scoring, whose score alone orders the candidates.
+
+Each step is linear in the graph plus the closures it runs: the preferred
+pass runs every cut node's closure on one closed state and undoes it on the
+nodes it observed, and only the candidates that pass the filters are
+scored."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .graph import Graph, _reach, articulation_points, multi_source_distances
-from .propagation import _observe
+from .propagation import _force_closure, _observe
 
 __all__ = [
     "ContractionReport",
@@ -127,10 +132,6 @@ def contract(g: Graph) -> ContractionReport:
 # -- preferred nodes -------------------------------------------------------
 
 
-# maps observed flags (0/1) to "unobserved" flags for a _reach seen array
-_UNOBSERVED = bytes([1, 0]) + bytes(254)
-
-
 def preferred_nodes(g: Graph) -> PreferredReport:
     """Detect b-, f-, and p-preferred nodes of a connected graph.
 
@@ -143,30 +144,49 @@ def preferred_nodes(g: Graph) -> PreferredReport:
     b-preferred node is f-preferred. p-preferred: the first (label order)
     f-preferred node for which a single such component attached by >= 2
     edges contains another f-preferred node.
+
+    One closed state serves every cut node: its closure is run on it, read,
+    and undone on the nodes it observed, so the pass costs the closures it
+    runs plus O(n) once, not O(n) per cut node.
     """
     adj = g.adjacency
     n = g.node_count
     if n == 0 or len(_reach(adj, 0, bytearray(n))) != n:
         raise PreconditionError("preferred_nodes requires a connected, nonempty graph")
+    observed, unobs = bytearray(n), [0] * n
+    # the seen array of _reach: set on every node but the observed ones of
+    # the current closure, so a walk from a neighbor of v stays inside them
+    blocked = bytearray(b"\x01") * n
     b_pref = set()
     forts: Dict[str, FrozenSet[str]] = {}
     witness_comps: Dict[str, List[FrozenSet[str]]] = {}
     for v in sorted(articulation_points(g)):
         vi = g.index_of(v)
-        observed = _observe(adj, [vi])[0]
+        log: list = []
+        ball = [vi, *adj[vi]]
+        _force_closure(adj, observed, unobs, ball, 0, log)
+        # the observed nodes: the ball, then each forced node once; this
+        # holds at both full-count exits of the closure too
+        reached = ball + [w for _, w in log]
+        for x in reached:
+            blocked[x] = 0
+        blocked[vi] = 1
         # Every neighbor of v is observed by the domination step and v never
         # forces, so a component of g - v is fully observed iff the observed
         # nodes reached from a neighbor have no unobserved neighbor.
-        seen = observed.translate(_UNOBSERVED)
-        seen[vi] = 1
         nbrs = set(adj[vi])
         full = []
         for u in adj[vi]:
-            if seen[u]:
+            if blocked[u]:
                 continue
-            block = _reach(adj, u, seen)
+            block = _reach(adj, u, blocked)
             if all(observed[y] for x in block for y in adj[x]):
                 full.append((block, sum(1 for x in block if x in nbrs)))
+        # undo the closure; unobs needs no reset: a counter is read only on
+        # an observed node, and the closure sets it when it observes the node
+        for x in reached:
+            observed[x] = 0
+            blocked[x] = 1
         if sum(e for _, e in full) >= 2:
             forts[v] = frozenset(g.label_at(x) for block, _ in full for x in block)
             witness_comps[v] = [
@@ -178,8 +198,9 @@ def preferred_nodes(g: Graph) -> PreferredReport:
                 b_pref.add(v)
     p_pref = None
     for v, comps in witness_comps.items():  # label order, as the loop above
-        others = forts.keys() - {v}
-        if any(c & others for c in comps):
+        # v is in none of its own components of g - v, so any f-preferred
+        # node found in them is another one
+        if any(u in forts for c in comps for u in c):
             p_pref = v
             break
     return PreferredReport(
@@ -218,14 +239,16 @@ def qualitative_scores(g: Graph, pref: Iterable[str]) -> Dict[str, ScoredCandida
 
 def candidate_list(g: Graph, pref: Iterable[str]) -> List[ScoredCandidate]:
     """Degree->=3 nodes outside the preferred and redundant sets, sorted by
-    descending score with ties broken by label order."""
+    descending score with ties broken by label order. Only these nodes are
+    scored, from one multi_source_distances call."""
     pref = set(pref)
     redundant = redundant_nodes(g, pref)
-    scores = qualitative_scores(g, pref)
-    cands = [
-        c
-        for c in scores.values()
-        if c.degree >= 3 and c.node not in pref and c.node not in redundant
+    kept = [
+        (v, len(a))
+        for v, a in zip(g.nodes, g.adjacency)
+        if len(a) >= 3 and v not in pref and v not in redundant
     ]
+    dist = multi_source_distances(g, pref)
+    cands = [ScoredCandidate(node=v, degree=d, pref_distance=dist[v]) for v, d in kept]
     cands.sort(key=lambda c: (-c.score, c.node))
     return cands

@@ -204,7 +204,9 @@ def subset_counts(
     r: int,
 ) -> Tuple[int, int]:
     """Counts of subsets examined below the success size by the naive
-    baseline (N) and the reduced pipeline (N')."""
+    baseline (N) and the reduced pipeline (N'). Each sums its binomials by
+    one running product (_comb_sum), so a count of thousands of digits costs
+    one small multiply and one exact divide per term."""
     for name, value in (
         ("nodes_total", nodes_total),
         ("pdn", pdn),
@@ -217,10 +219,18 @@ def subset_counts(
             raise ParameterError(f"{name} must be non-negative")
     if p + d + r > contracted_total:
         raise ParameterError("p + d + r exceeds contracted node count")
-    n_naive = sum(math.comb(nodes_total, i) for i in range(pdn))
-    reduced = contracted_total - p - d - r
-    n_reduced = sum(math.comb(reduced, i) for i in range(max(pdn - p, 0)))
-    return n_naive, n_reduced
+    return _comb_sum(nodes_total, pdn), _comb_sum(contracted_total - p - d - r, pdn - p)
+
+
+def _comb_sum(n: int, k: int) -> int:
+    """The sum of C(n, i) over 0 <= i < k (0 when k <= 0), by the running
+    product C(n, i + 1) = C(n, i) (n - i) / (i + 1): each step divides
+    exactly, and every term past i = n is 0."""
+    total, c = 0, 1
+    for i in range(k):
+        total += c
+        c = c * (n - i) // (i + 1)
+    return total
 
 
 # -- level scanning ----------------------------------------------------------

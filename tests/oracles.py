@@ -120,7 +120,8 @@ def oracle_preferred_nodes(g: Graph):
             b_pref.add(v)
     forts = {}
     witnesses = {}
-    for v in oracle_articulation_points(g):
+    # forts holds its keys in label byte order
+    for v in sorted(oracle_articulation_points(g), key=lambda lab: lab.encode("utf-8")):
         observed = oracle_power_dominate(g, {v})
         rest = g.induced(u for u in g.nodes if u != v)
         full = [c for c in oracle_components(rest) if c <= observed]
@@ -130,7 +131,7 @@ def oracle_preferred_nodes(g: Graph):
             witnesses[v] = [c for c, e in zip(full, edges) if e >= 2]
     f_pref = set(forts)
     p_pref = None
-    for v in sorted(f_pref, key=lambda lab: lab.encode("utf-8")):
+    for v in forts:
         if any(c & (f_pref - {v}) for c in witnesses[v]):
             p_pref = v
             break

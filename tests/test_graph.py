@@ -21,6 +21,7 @@ from powerdom import (
     write_graph6,
 )
 
+import powerdom.graph
 from powerdom.graph import _g6_order, _g6_read_order
 
 from families import LABEL_ALPHABET, byte_key, relabeled
@@ -99,6 +100,17 @@ class TestGraphBasics:
     def test_induced_on_an_unknown_label_rejected(self, zim):
         with pytest.raises(NotFoundError):
             zim.induced(["9", "nope"])
+        with pytest.raises(NotFoundError):
+            zim.induced([*zim.nodes, "nope"])
+
+    def test_induced_on_every_node_sorts_nothing(self, zim, monkeypatch):
+        # solve takes the induced subgraph of every component, so a
+        # connected input must come back without a sort of its n indices
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted called")
+
+        monkeypatch.setattr(powerdom.graph, "sorted", no_sort, raising=False)
+        assert zim.induced([*zim.nodes, "9"]) is zim
 
 
 class TestGraph6:

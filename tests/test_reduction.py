@@ -20,7 +20,7 @@ from powerdom import (
     redundant_nodes,
 )
 
-from families import byte_key, relabeled, structured_graphs
+from families import byte_key, relabeled, renamed, structured_graphs
 from oracles import (
     oracle_is_pds,
     oracle_min_pds_sets,
@@ -60,6 +60,36 @@ def tree_with_pendant_paths(rng):
             prev = labels[-1]
     for _ in range(rng.randint(0, 3)):
         edges.append(tuple(rng.sample(labels, 2)))
+    return Graph(labels, edges)
+
+
+def spider(legs):
+    """A center "c" with one path hanging off it per length in legs."""
+    edges = []
+    for i, length in enumerate(legs):
+        prev = "c"
+        for j in range(length):
+            edges.append((prev, f"l{i}.{j}"))
+            prev = f"l{i}.{j}"
+    return Graph(["c"] + [v for _, v in edges], edges)
+
+
+def joined_stars(left, right, run):
+    """Hubs "a" and "b" with left and right leaves, joined by a path of run
+    inner nodes. With one leaf at "b", the closure of "a" observes every node."""
+    path = ["a"] + [f"p{j}" for j in range(run)] + ["b"]
+    edges = list(zip(path, path[1:]))
+    edges += [("a", f"a.{i}") for i in range(left)] + [("b", f"b.{i}") for i in range(right)]
+    return Graph(path + [v for _, v in edges[run + 1:]], edges)
+
+
+def star_of_paths(paths):
+    """A center "c" joined to node j of a path of length n, for each (n, j)."""
+    labels, edges = ["c"], []
+    for i, (length, j) in enumerate(paths):
+        path = [f"q{i}.{k}" for k in range(length)]
+        labels += path
+        edges += list(zip(path, path[1:])) + [("c", path[j])]
     return Graph(labels, edges)
 
 
@@ -262,6 +292,37 @@ class TestPreferredNodes:
             cut_nodes += len(articulation_points(g))
         assert cut_nodes >= 3 * len(graphs)
 
+    def test_matches_definition_oracle_after_a_closure_of_every_node(self):
+        """preferred_nodes runs every cut node's closure on one state and
+        undoes it on the nodes that closure observed. Here a closure that
+        observes every node, through either full-count exit of the kernel,
+        is followed by other cut nodes: in the input order, and in
+        label-shuffled copies that move it among them."""
+        base = [spider(legs) for k in (2, 3, 4)
+                for legs in itertools.combinations_with_replacement((1, 2, 3), k)]
+        base += [joined_stars(left, right, run)
+                 for left in (1, 2, 3) for right in (1, 2, 3) for run in (1, 2, 3)]
+        base += [star_of_paths(paths) for paths in itertools.combinations(
+            [(1, 0), (2, 0), (3, 1), (4, 1), (4, 3)], 3)]
+        rng = random.Random(26)
+        graphs = base + [
+            renamed(g, dict(zip(g.nodes, rng.sample(g.nodes, g.node_count))))
+            for g in base for _ in range(3)
+        ]
+        followed = 0
+        for g in graphs:
+            b_pref, f_pref, forts, p_pref, pref = oracle_preferred_nodes(g)
+            rep = preferred_nodes(g)
+            assert (rep.b_preferred, rep.f_preferred, rep.p_preferred, rep.pref) == (
+                b_pref, f_pref, p_pref, pref)
+            assert list(rep.forts.items()) == list(forts.items())
+            cut = sorted(articulation_points(g))
+            followed += any(len(power_dominate(g, {v}).observed) == g.node_count
+                            for v in cut[:-1])
+        # a star's closure observes every node in its first batch, but its
+        # center is its only cut node, so no star counts here
+        assert followed >= len(graphs) // 2
+
     @settings(max_examples=200, deadline=None)
     @given(structured_graphs)
     def test_matches_definition_oracle_on_families(self, g):
@@ -279,10 +340,13 @@ class TestPreferredNodes:
     @settings(max_examples=100, deadline=None)
     @given(relabeled())
     def test_matches_definition_oracle_on_non_ascii_labels(self, g):
-        """The oracle picks p-preferred in byte_key order."""
+        """The oracle picks p-preferred, and orders the forts, in byte_key
+        order."""
         rep = preferred_nodes(g)
         fields = (rep.b_preferred, rep.f_preferred, rep.forts, rep.p_preferred, rep.pref)
-        assert fields == oracle_preferred_nodes(g)
+        oracle = oracle_preferred_nodes(g)
+        assert fields == oracle
+        assert list(rep.forts) == list(oracle[2])
 
 
 class TestRedundantNodes:

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import multiprocessing
@@ -5,6 +6,7 @@ import os
 import random
 import signal
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -120,6 +122,39 @@ class TestSubsetCounts:
     def test_excluded_over_contracted_total_rejected(self):
         with pytest.raises(ParameterError, match="exceeds contracted node count"):
             subset_counts(10, 2, 5, 2, 2, 2)
+
+    def test_equals_the_sums_of_binomials(self):
+        short = empty = 0
+        for n in range(61):
+            for pdn in range(n + 1):
+                for contracted in {n, n // 2, 0}:
+                    for p in {0, 1, pdn // 2, pdn, pdn + 1}:
+                        if p > contracted:
+                            continue
+                        for rest in {0, (contracted - p) // 2, contracted - p}:
+                            d, r = rest // 2, rest - rest // 2
+                            reduced = contracted - p - d - r
+                            short += reduced < pdn - p
+                            empty += pdn - p <= 0
+                            assert subset_counts(n, pdn, contracted, p, d, r) == (
+                                sum(math.comb(n, i) for i in range(pdn)),
+                                sum(math.comb(reduced, i) for i in range(pdn - p)),
+                            )
+        assert short > 1000 and empty > 1000
+
+    def test_a_radial_feeder_counts_exactly(self):
+        # bench/inputs.radial_feeder: every hub carries two pendant paths, so
+        # the hubs are the preferred set and the reduced count is empty
+        spec = importlib.util.spec_from_file_location(
+            "radial_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+        )
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        g = parse_edge_list(inputs.edge_list(inputs.radial_feeder(1600, 1)))
+        res = solve(g, SolverConfig(workers=1))
+        assert (g.node_count, res.pdn) == (16923, 1600)
+        assert res.diagnostics.n_formula == sum(math.comb(16923, i) for i in range(1600))
+        assert res.diagnostics.n_prime_formula == 0
 
 
 class TestSolve:
